@@ -30,7 +30,8 @@ void BM_InterleavedInstances(benchmark::State& state) {
   const int instances = static_cast<int>(state.range(0));
   WorkflowDef def("chain");
   for (int s = 0; s < 8; ++s) {
-    def.Step("s" + std::to_string(s), [](WorkflowContext* ctx) {
+    std::string name = std::string("s").append(std::to_string(s));
+    def.Step(name, [](WorkflowContext* ctx) {
       ctx->vars()["x"] = Value(ctx->vars().count("x")
                                    ? ctx->vars().at("x").as_int() + 1
                                    : 1);

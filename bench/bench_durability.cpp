@@ -52,7 +52,8 @@ DurabilityPoint RunOne(const std::string& mode, int workers) {
   promises::TransactionManager tm(100);
   promises::ResourceManager rm;
   for (int w = 0; w < workers; ++w) {
-    (void)rm.CreatePool("d" + std::to_string(w), kOpsPerWorker + 1);
+    (void)rm.CreatePool(std::string("d").append(std::to_string(w)),
+                        kOpsPerWorker + 1);
   }
   promises::PromiseManagerConfig config;
   config.name = "durability-bench";
@@ -98,7 +99,7 @@ DurabilityPoint RunOne(const std::string& mode, int workers) {
     threads.emplace_back([&pm, &latencies, &completed, w] {
       promises::ClientId client =
           pm.ClientFor("worker-" + std::to_string(w));
-      std::string pool = "d" + std::to_string(w);
+      std::string pool = std::string("d").append(std::to_string(w));
       latencies[w].reserve(kOpsPerWorker);
       for (int i = 0; i < kOpsPerWorker; ++i) {
         auto op_start = std::chrono::steady_clock::now();

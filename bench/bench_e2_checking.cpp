@@ -34,7 +34,8 @@ struct World {
     client = pm->ClientFor("bench-client");
     // Preload N live promises.
     for (int64_t i = 0; i < preload; ++i) {
-      Predicate p = named ? Predicate::Named("seat", "s" + std::to_string(i))
+      std::string seat = std::string("s").append(std::to_string(i));
+      Predicate p = named ? Predicate::Named("seat", seat)
                           : Predicate::Quantity("stock", CompareOp::kGe, 1);
       auto out = pm->RequestPromise(client, {p});
       if (!out.ok() || !out->accepted) std::abort();
@@ -54,9 +55,9 @@ void GrantReleaseCycle(benchmark::State& state, Technique technique,
                        bool named) {
   World world(technique, state.range(0), named);
   for (auto _ : state) {
-    Predicate p =
-        named ? Predicate::Named("seat", "s" + std::to_string(world.spare))
-              : Predicate::Quantity("stock", CompareOp::kGe, 1);
+    std::string seat = std::string("s").append(std::to_string(world.spare));
+    Predicate p = named ? Predicate::Named("seat", seat)
+                        : Predicate::Quantity("stock", CompareOp::kGe, 1);
     auto out = world.pm->RequestPromise(world.client, {p});
     if (!out.ok() || !out->accepted) {
       state.SkipWithError("grant failed");

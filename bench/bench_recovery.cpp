@@ -53,7 +53,7 @@ struct World {
 
   World() {
     for (int i = 0; i < kPools; ++i) {
-      (void)rm.CreatePool("p" + std::to_string(i), 1'000);
+      (void)rm.CreatePool(std::string("p").append(std::to_string(i)), 1'000);
     }
     promises::PromiseManagerConfig config;
     config.name = "recovery-bench";
@@ -121,7 +121,7 @@ void GenerateHistory(int log_length) {
       }
     }
     int pool = i % kPools;
-    std::string cls = "p" + std::to_string(pool);
+    std::string cls = std::string("p").append(std::to_string(pool));
     if (rings[pool].size() >= kRingPerPool) {
       promises::PromiseId oldest = rings[pool].front();
       rings[pool].pop_front();

@@ -32,7 +32,8 @@ int main() {
                  {"view", ValueType::kBool, false}});
   (void)rm.CreateInstanceClass("budget-inn", budget);
   for (int i = 1; i <= 3; ++i) {
-    (void)rm.AddInstance("budget-inn", "b" + std::to_string(i),
+    (void)rm.AddInstance("budget-inn",
+                         std::string("b").append(std::to_string(i)),
                          {{"floor", Value(i)}, {"view", Value(false)}});
   }
   // Grand Hotel: adds 'grade'; two rooms with views.

@@ -3,7 +3,8 @@
 #
 # Usage:
 #   scripts/ci.sh            # tier-1 (default preset) only
-#   scripts/ci.sh all        # tier-1 + asan/ubsan + tsan + chaos
+#   scripts/ci.sh all        # tier-1 + release + asan/ubsan + tsan + chaos
+#   scripts/ci.sh release    # Release build (-O3, NDEBUG) + tier-1 tests
 #   scripts/ci.sh asan       # asan/ubsan configuration only
 #   scripts/ci.sh tsan       # tsan configuration (concurrency tests only)
 #   scripts/ci.sh chaos      # fault-injection suite under ASan: fixed
@@ -193,6 +194,9 @@ case "${MODE}" in
   default)
     run_preset default
     ;;
+  release)
+    run_preset release
+    ;;
   asan)
     run_preset asan
     ;;
@@ -200,7 +204,7 @@ case "${MODE}" in
     # TSan over the full suite is slow on small runners; the concurrency
     # and transaction tests are where data races would live — including
     # the chaos workload's retry/dedup path.
-    run_preset tsan -R 'Concurren|Striped|LockManager|Transaction|Workload|Chaos|Epoch|Layout|Idempotency|Overload|Breaker|Admission|Trace|Metrics|GroupCommit|Recovery|Checkpoint|OplogScan|Wsba|Restart|Lifecycle|Drain|Reconnect|Shard|FederatedGrant'
+    run_preset tsan -R 'Concurren|Striped|LockManager|Transaction|Workload|Chaos|Epoch|Layout|Idempotency|Pending|Overload|Breaker|Admission|Trace|Metrics|GroupCommit|Recovery|Checkpoint|OplogScan|Wsba|Restart|Lifecycle|Drain|Reconnect|Shard|FederatedGrant'
     ;;
   chaos)
     run_chaos
@@ -225,8 +229,9 @@ case "${MODE}" in
     ;;
   all)
     run_preset default
+    run_preset release
     run_preset asan
-    run_preset tsan -R 'Concurren|Striped|LockManager|Transaction|Workload|Chaos|Epoch|Layout|Idempotency|Overload|Breaker|Admission|Trace|Metrics|GroupCommit|Recovery|Checkpoint|OplogScan|Wsba|Restart|Lifecycle|Drain|Reconnect|Shard|FederatedGrant'
+    run_preset tsan -R 'Concurren|Striped|LockManager|Transaction|Workload|Chaos|Epoch|Layout|Idempotency|Pending|Overload|Breaker|Admission|Trace|Metrics|GroupCommit|Recovery|Checkpoint|OplogScan|Wsba|Restart|Lifecycle|Drain|Reconnect|Shard|FederatedGrant'
     run_chaos
     run_restart
     run_epoch
@@ -235,7 +240,7 @@ case "${MODE}" in
     run_bench
     ;;
   *)
-    echo "unknown mode: ${MODE} (expected default|asan|tsan|chaos|restart|epoch|sharding|overload|bench|lint|all)" >&2
+    echo "unknown mode: ${MODE} (expected default|release|asan|tsan|chaos|restart|epoch|sharding|overload|bench|lint|all)" >&2
     exit 2
     ;;
 esac

@@ -26,6 +26,18 @@ namespace {
 // workers cannot steal each other's ids.
 thread_local uint64_t tls_forced_promise_id = 0;
 
+// Maps a direct call's <promise-response> back to its GrantOutcome.
+GrantOutcome ToGrantOutcome(PromiseResponseHeader&& resp, PromiseId consumed) {
+  GrantOutcome out;
+  out.accepted = resp.result == PromiseResultCode::kAccepted;
+  out.promise_id = resp.promise_id;
+  out.duration_ms = resp.granted_duration_ms;
+  out.reason = std::move(resp.reason);
+  out.counter_offer = std::move(resp.counter_offer);
+  out.consumed_id = consumed;
+  return out;
+}
+
 }  // namespace
 
 thread_local PromiseManager::EpochTls* PromiseManager::tls_epoch_ = nullptr;
@@ -390,29 +402,61 @@ Result<PromiseManager::QueuedOutcome> PromiseManager::RequestPromiseOrQueue(
     return Status::FailedPrecondition(
         "pending requests are not supported with an attached log");
   }
-  std::set<std::string> classes;
-  for (const Predicate& p : predicates) classes.insert(p.resource_class());
-  LockScope scope;
-  PROMISES_ASSIGN_OR_RETURN(std::unique_ptr<Transaction> txn,
-                            BeginOperation(&scope, std::move(classes)));
-  PROMISES_RETURN_IF_ERROR(ExpireDueLocked(txn.get(), scope));
-  PROMISES_ASSIGN_OR_RETURN(
-      GrantOutcome out,
-      GrantLocked(txn.get(), client, predicates, duration_ms, {}));
+  Envelope request = DirectEnvelope(client);
+  PromiseRequestHeader& req = request.promise_request.emplace();
+  req.request_id = RequestId(1);
+  req.predicates = std::move(predicates);
+  req.duration_ms = duration_ms;
+  req.queue_if_unavailable = true;
+  DirectOutcome direct;
+  Result<Envelope> reply = HandleInner(request, client, nullptr, &direct);
+  PROMISES_RETURN_IF_ERROR(reply.status());
+  PromiseResponseHeader& resp = *reply->promise_response;
   QueuedOutcome result;
-  if (out.accepted) {
-    result.outcome = std::move(out);
-  } else {
+  if (resp.result == PromiseResultCode::kPending) {
     result.queued = true;
-    Timestamp deadline = clock_->Now() + config_.pending_patience_ms;
-    std::lock_guard<std::mutex> lk(pending_mu_);
-    result.ticket = next_ticket_++;
-    pending_.push_back(PendingRequest{result.ticket, client,
-                                      std::move(predicates), duration_ms,
-                                      deadline});
+    result.ticket = resp.pending_ticket;
+  } else {
+    result.outcome = ToGrantOutcome(std::move(resp), direct.consumed_id);
   }
-  PROMISES_RETURN_IF_ERROR(txn->Commit());
   return result;
+}
+
+void PromiseManager::AddTicketClasses(std::set<std::string>* classes,
+                                      PendingTicket ticket) const {
+  std::lock_guard<std::mutex> lk(pending_mu_);
+  for (const PendingRequest& req : pending_) {
+    if (req.ticket != ticket) continue;
+    for (const Predicate& p : req.predicates) {
+      classes->insert(p.resource_class());
+    }
+    return;
+  }
+}
+
+Result<PromiseManager::QueuedOutcome> PromiseManager::TakeTicket(
+    ClientId client, PendingTicket ticket) {
+  std::lock_guard<std::mutex> lk(pending_mu_);
+  QueuedOutcome out;
+  auto it = fulfilled_.find(ticket);
+  if (it != fulfilled_.end()) {
+    if (it->second.first != client) {
+      return Status::FailedPrecondition("ticket belongs to another client");
+    }
+    out.outcome = std::move(it->second.second);
+    fulfilled_.erase(it);
+    return out;
+  }
+  for (const PendingRequest& req : pending_) {
+    if (req.ticket != ticket) continue;
+    if (req.client != client) {
+      return Status::FailedPrecondition("ticket belongs to another client");
+    }
+    out.queued = true;
+    out.ticket = ticket;
+    return out;
+  }
+  return Status::NotFound("unknown ticket " + std::to_string(ticket));
 }
 
 Result<PromiseManager::QueuedOutcome> PromiseManager::PollPending(
@@ -421,56 +465,22 @@ Result<PromiseManager::QueuedOutcome> PromiseManager::PollPending(
   // the ticket is still queued, plan its own predicate classes so this
   // very poll can grant it; a fulfilled ticket needs no stripes.
   std::set<std::string> classes;
-  {
-    std::lock_guard<std::mutex> lk(pending_mu_);
-    for (const PendingRequest& req : pending_) {
-      if (req.ticket != ticket) continue;
-      for (const Predicate& p : req.predicates) {
-        classes.insert(p.resource_class());
-      }
-      break;
-    }
-  }
+  AddTicketClasses(&classes, ticket);
   LockScope scope;
   PROMISES_ASSIGN_OR_RETURN(std::unique_ptr<Transaction> txn,
                             BeginOperation(&scope, std::move(classes)));
   PROMISES_RETURN_IF_ERROR(ExpireDueLocked(txn.get(), scope));
   PROMISES_RETURN_IF_ERROR(DrainPendingScoped(txn.get(), scope));
-
-  Result<QueuedOutcome> result = [&]() -> Result<QueuedOutcome> {
-    std::lock_guard<std::mutex> lk(pending_mu_);
-    auto it = fulfilled_.find(ticket);
-    if (it != fulfilled_.end()) {
-      if (it->second.first != client) {
-        return Status::FailedPrecondition("ticket belongs to another client");
-      }
-      QueuedOutcome out;
-      out.outcome = std::move(it->second.second);
-      fulfilled_.erase(it);
-      return out;
-    }
-    for (const PendingRequest& req : pending_) {
-      if (req.ticket != ticket) continue;
-      if (req.client != client) {
-        return Status::FailedPrecondition("ticket belongs to another client");
-      }
-      QueuedOutcome out;
-      out.queued = true;
-      out.ticket = ticket;
-      return out;
-    }
-    return Status::NotFound("unknown ticket " + std::to_string(ticket));
-  }();
+  Result<QueuedOutcome> result = TakeTicket(client, ticket);
   PROMISES_RETURN_IF_ERROR(txn->Commit());
   return result;
 }
 
 Status PromiseManager::CancelPending(ClientId client, PendingTicket ticket) {
   // Claim the ticket first (atomic under the queue mutex): a still-
-  // queued request just disappears; a fulfilled-but-unpolled grant must
-  // release its promise under that promise's stripes.
-  GrantOutcome fulfilled_out;
-  bool was_fulfilled = false;
+  // queued request just disappears; a fulfilled-but-unpolled grant is
+  // released like any other promise.
+  GrantOutcome fulfilled;
   {
     std::lock_guard<std::mutex> lk(pending_mu_);
     for (auto it = pending_.begin(); it != pending_.end(); ++it) {
@@ -482,32 +492,16 @@ Status PromiseManager::CancelPending(ClientId client, PendingTicket ticket) {
       return Status::OK();
     }
     auto it = fulfilled_.find(ticket);
-    if (it != fulfilled_.end() && it->second.first == client) {
-      fulfilled_out = std::move(it->second.second);
-      fulfilled_.erase(it);
-      was_fulfilled = true;
+    if (it == fulfilled_.end() || it->second.first != client) {
+      return Status::NotFound("unknown ticket " + std::to_string(ticket));
     }
+    fulfilled = std::move(it->second.second);
+    fulfilled_.erase(it);
   }
-  if (!was_fulfilled) {
-    return Status::NotFound("unknown ticket " + std::to_string(ticket));
-  }
-  if (!fulfilled_out.accepted) return Status::OK();
-
-  std::set<std::string> classes;
-  AddPromiseClasses(&classes, fulfilled_out.promise_id);
-  LockScope scope;
-  PROMISES_ASSIGN_OR_RETURN(std::unique_ptr<Transaction> txn,
-                            BeginOperation(&scope, std::move(classes)));
-  Status st = ReleaseOneLocked(txn.get(), fulfilled_out.promise_id,
-                               PromiseState::kReleased);
-  if (st.ok()) {
-    stats_.released.fetch_add(1, std::memory_order_relaxed);
-  } else if (!st.IsNotFound()) {
-    // NotFound: the grant already expired between claim and lock.
-    return st;
-  }
-  PROMISES_RETURN_IF_ERROR(DrainPendingScoped(txn.get(), scope));
-  return txn->Commit();
+  if (!fulfilled.accepted) return Status::OK();
+  // NotFound: the grant already expired between claim and release.
+  Status st = Release(client, {fulfilled.promise_id});
+  return st.IsNotFound() ? Status::OK() : st;
 }
 
 Status PromiseManager::ReleaseOneLocked(Transaction* txn, PromiseId id,
@@ -833,97 +827,46 @@ Result<ActionOutcome> PromiseManager::ExecuteLocked(
   return out;
 }
 
+Envelope PromiseManager::DirectEnvelope(ClientId client) {
+  Envelope request;
+  request.message_id = MessageId(0);
+  request.from = NameOf(client);
+  request.to = config_.name;
+  return request;
+}
+
 Result<GrantOutcome> PromiseManager::RequestPromise(
     ClientId client, std::vector<Predicate> predicates,
     DurationMs duration_ms, std::vector<PromiseId> release_on_grant) {
   // Direct-API root: callers that skip the envelope path (the scaling
   // workload, embedders) still get a phase breakdown when sampled.
   ScopedSpan op_span(Tracer::Global().StartTrace(), "request-promise");
-  std::set<std::string> classes;
-  for (const Predicate& p : predicates) classes.insert(p.resource_class());
-  for (PromiseId id : release_on_grant) AddPromiseClasses(&classes, id);
-  LockScope scope;
-  PROMISES_ASSIGN_OR_RETURN(std::unique_ptr<Transaction> txn,
-                            BeginOperation(&scope, std::move(classes)));
-  PROMISES_RETURN_IF_ERROR(ExpireDueLocked(txn.get(), scope));
-  std::string log_payload;
-  if (oplog_.load(std::memory_order_acquire) != nullptr) {
-    // Rejected requests are logged too: they may consume a promise id,
-    // so replay must reproduce them to keep later ids aligned. Message
-    // id 0 exempts the synthesized record from deduplication on replay.
-    Envelope env;
-    env.message_id = MessageId(0);
-    env.from = NameOf(client);
-    env.to = config_.name;
-    PromiseRequestHeader req;
-    req.request_id = RequestId(1);
-    req.predicates = predicates;
-    req.duration_ms = duration_ms;
-    req.release_on_grant = release_on_grant;
-    env.promise_request = std::move(req);
-    log_payload = env.ToXml();
-  }
-  PROMISES_ASSIGN_OR_RETURN(
-      GrantOutcome out,
-      GrantLocked(txn.get(), client, std::move(predicates), duration_ms,
-                  release_on_grant));
-  // Sequenced before the commit releases the operation locks, so the
-  // log order matches the serialization order (the in-memory commit
-  // itself cannot fail); the durable ack is awaited after.
-  LogTicket ticket;
-  if (!log_payload.empty()) {
-    ticket = LogOperation(log_payload, out.consumed_id);
-  }
-  PROMISES_RETURN_IF_ERROR(txn->Commit());
-  PROMISES_RETURN_IF_ERROR(AwaitLogDurable(ticket));
-  return out;
+  Envelope request = DirectEnvelope(client);
+  PromiseRequestHeader& req = request.promise_request.emplace();
+  req.request_id = RequestId(1);
+  req.predicates = std::move(predicates);
+  req.duration_ms = duration_ms;
+  req.release_on_grant = std::move(release_on_grant);
+  DirectOutcome direct;
+  Result<Envelope> reply = HandleInner(request, client, nullptr, &direct);
+  PROMISES_RETURN_IF_ERROR(reply.status());
+  PROMISES_RETURN_IF_ERROR(direct.durable);
+  return ToGrantOutcome(std::move(*reply->promise_response),
+                        direct.consumed_id);
 }
 
 Status PromiseManager::Release(ClientId client,
                                const std::vector<PromiseId>& ids) {
   ScopedSpan op_span(Tracer::Global().StartTrace(), "release");
-  std::set<std::string> classes;
-  for (PromiseId id : ids) AddPromiseClasses(&classes, id);
-  LockScope scope;
-  PROMISES_ASSIGN_OR_RETURN(std::unique_ptr<Transaction> txn,
-                            BeginOperation(&scope, std::move(classes)));
-  PROMISES_RETURN_IF_ERROR(ExpireDueLocked(txn.get(), scope));
-  std::string problems;
-  for (PromiseId id : ids) {
-    auto id_classes = table_.ClassesOf(id);
-    if (!id_classes || !scope.CoversAll(*id_classes)) {
-      // Gone (released/expired), or appeared after lock planning —
-      // either way not releasable by this operation.
-      problems += " " + id.ToString() + " not active;";
-      continue;
-    }
-    const PromiseRecord* rec = table_.Find(id);
-    if (rec == nullptr) {
-      problems += " " + id.ToString() + " not active;";
-      continue;
-    }
-    if (rec->owner != client) {
-      problems += " " + id.ToString() + " owned by another client;";
-      continue;
-    }
-    PROMISES_RETURN_IF_ERROR(
-        ReleaseOneLocked(txn.get(), id, PromiseState::kReleased));
-    stats_.released.fetch_add(1, std::memory_order_relaxed);
-  }
-  PROMISES_RETURN_IF_ERROR(DrainPendingScoped(txn.get(), scope));
-  LogTicket ticket;
-  if (oplog_.load(std::memory_order_acquire) != nullptr) {
-    Envelope env;
-    env.message_id = MessageId(0);  // exempt from dedup on replay
-    env.from = NameOf(client);
-    env.to = config_.name;
-    env.release = ReleaseHeader{ids};
-    ticket = LogOperation(env.ToXml());
-  }
-  PROMISES_RETURN_IF_ERROR(txn->Commit());
-  PROMISES_RETURN_IF_ERROR(AwaitLogDurable(ticket));
-  if (!problems.empty()) {
-    return Status::NotFound("some releases failed:" + problems);
+  Envelope request = DirectEnvelope(client);
+  request.release = ReleaseHeader{ids};
+  DirectOutcome direct;
+  PROMISES_RETURN_IF_ERROR(
+      HandleInner(request, client, nullptr, &direct).status());
+  PROMISES_RETURN_IF_ERROR(direct.durable);
+  if (!direct.release_problems.empty()) {
+    return Status::NotFound("some releases failed:" +
+                            direct.release_problems);
   }
   return Status::OK();
 }
@@ -932,31 +875,18 @@ Result<ActionOutcome> PromiseManager::Execute(ClientId client,
                                               const ActionBody& action,
                                               const EnvironmentHeader& env) {
   ScopedSpan op_span(Tracer::Global().StartTrace(), "execute");
-  std::set<std::string> classes;
-  for (const EnvironmentHeader::Entry& e : env.entries) {
-    AddPromiseClasses(&classes, e.promise);
-  }
-  AddActionClasses(&classes, action);
-  LockScope scope;
-  PROMISES_ASSIGN_OR_RETURN(std::unique_ptr<Transaction> txn,
-                            BeginOperation(&scope, std::move(classes)));
-  PROMISES_RETURN_IF_ERROR(ExpireDueLocked(txn.get(), scope));
-  PROMISES_ASSIGN_OR_RETURN(
-      ActionOutcome out,
-      ExecuteLocked(txn.get(), &scope, client, action, env));
-  PROMISES_RETURN_IF_ERROR(DrainPendingScoped(txn.get(), scope));
-  LogTicket ticket;
-  if (oplog_.load(std::memory_order_acquire) != nullptr) {
-    Envelope log_env;
-    log_env.message_id = MessageId(0);  // exempt from dedup on replay
-    log_env.from = NameOf(client);
-    log_env.to = config_.name;
-    log_env.environment = env;
-    log_env.action = action;
-    ticket = LogOperation(log_env.ToXml());
-  }
-  PROMISES_RETURN_IF_ERROR(txn->Commit());
-  PROMISES_RETURN_IF_ERROR(AwaitLogDurable(ticket));
+  Envelope request = DirectEnvelope(client);
+  request.environment = env;
+  request.action = action;
+  DirectOutcome direct;
+  Result<Envelope> reply = HandleInner(request, client, nullptr, &direct);
+  PROMISES_RETURN_IF_ERROR(reply.status());
+  PROMISES_RETURN_IF_ERROR(direct.durable);
+  ActionResultBody& result = *reply->action_result;
+  ActionOutcome out;
+  out.ok = result.ok;
+  out.error = std::move(result.error);
+  out.outputs = std::move(result.outputs);
   return out;
 }
 
@@ -1081,31 +1011,32 @@ Status PromiseManager::ReplayLog(const std::vector<LogRecord>& records,
       promise_ids_.Pin(record.promise_id);
       max_promise_id = std::max(max_promise_id, record.promise_id);
     }
-    if (StartsWith(record.payload, "<")) {
-      PROMISES_ASSIGN_OR_RETURN(Envelope env,
-                                Envelope::FromXml(record.payload));
-      PROMISES_ASSIGN_OR_RETURN(Envelope reply, Handle(env));
-      (void)reply;  // outcomes replay deterministically
-    } else {
-      // External events: "damage|<cls>|<qty>" / "lose|<cls>|<id>".
-      std::vector<std::string> parts = Split(record.payload, '|');
-      if (parts.size() == 3 && parts[0] == "damage") {
-        PROMISES_ASSIGN_OR_RETURN(int64_t qty, ParseInt64(parts[2]));
-        PROMISES_RETURN_IF_ERROR(
-            ReportExternalDamage(parts[1], qty).status());
-      } else if (parts.size() == 3 && parts[0] == "lose") {
-        PROMISES_RETURN_IF_ERROR(
-            ReportInstanceLost(parts[1], parts[2]).status());
-      } else {
-        return Status::InvalidArgument("unknown log record: " +
-                                       record.payload);
-      }
-    }
+    PROMISES_RETURN_IF_ERROR(ReplayRecord(record.payload, nullptr));
   }
   // Leave the generator past every replayed id: the last record need
   // not carry the maximum (allocation could run ahead of log order).
   if (max_promise_id != 0) promise_ids_.Pin(max_promise_id + 1);
   return Status::OK();
+}
+
+Status PromiseManager::ReplayRecord(const std::string& payload,
+                                    const Envelope* parsed) {
+  // Outcomes replay deterministically; only errors are reported.
+  if (parsed != nullptr) return Handle(*parsed).status();
+  if (StartsWith(payload, "<")) {
+    PROMISES_ASSIGN_OR_RETURN(Envelope env, Envelope::FromXml(payload));
+    return Handle(env).status();
+  }
+  // External events: "damage|<cls>|<qty>" / "lose|<cls>|<id>".
+  std::vector<std::string> parts = Split(payload, '|');
+  if (parts.size() == 3 && parts[0] == "damage") {
+    PROMISES_ASSIGN_OR_RETURN(int64_t qty, ParseInt64(parts[2]));
+    return ReportExternalDamage(parts[1], qty).status();
+  }
+  if (parts.size() == 3 && parts[0] == "lose") {
+    return ReportInstanceLost(parts[1], parts[2]).status();
+  }
+  return Status::InvalidArgument("unknown log record: " + payload);
 }
 
 Status PromiseManager::ReplayLogParallel(const std::vector<LogRecord>& records,
@@ -1256,22 +1187,8 @@ Status PromiseManager::ReplayLogParallel(const std::vector<LogRecord>& records,
     if (p.record->promise_id != 0) {
       tls_forced_promise_id = p.record->promise_id;
     }
-    Status st;
-    if (p.is_envelope) {
-      st = Handle(p.envelope).status();
-    } else {
-      std::vector<std::string> parts = Split(p.record->payload, '|');
-      if (parts.size() == 3 && parts[0] == "damage") {
-        Result<int64_t> qty = ParseInt64(parts[2]);
-        st = qty.ok() ? ReportExternalDamage(parts[1], *qty).status()
-                      : qty.status();
-      } else if (parts.size() == 3 && parts[0] == "lose") {
-        st = ReportInstanceLost(parts[1], parts[2]).status();
-      } else {
-        st = Status::InvalidArgument("unknown log record: " +
-                                     p.record->payload);
-      }
-    }
+    Status st = ReplayRecord(p.record->payload,
+                             p.is_envelope ? &p.envelope : nullptr);
     tls_forced_promise_id = 0;
     return st;
   };
@@ -1650,16 +1567,7 @@ Status PromiseManager::RestoreCheckpoint(const CheckpointData& data,
     for (const CheckpointDedupEntry& entry : data.dedup) {
       PROMISES_ASSIGN_OR_RETURN(Envelope reply,
                                 Envelope::FromXml(entry.reply_xml));
-      DedupKey key{entry.from, entry.message_id};
-      if (dedup_completed_
-              .emplace(key, DedupEntry{std::move(reply), entry.lsn})
-              .second) {
-        dedup_fifo_.push_back(key);
-        while (dedup_fifo_.size() > config_.dedup_capacity) {
-          dedup_completed_.erase(dedup_fifo_.front());
-          dedup_fifo_.pop_front();
-        }
-      }
+      RememberReplyLocked({entry.from, entry.message_id}, reply, entry.lsn);
     }
   }
   return Status::OK();
@@ -1737,14 +1645,19 @@ Result<Envelope> PromiseManager::Handle(const Envelope& request) {
   const bool dedup_eligible = config_.dedup_capacity > 0 &&
                               request.message_id.valid() &&
                               !request.from.empty();
-  if (!dedup_eligible) return HandleInner(request, nullptr);
+  if (!dedup_eligible) {
+    return HandleInner(request, ClientFor(request.from), nullptr);
+  }
 
   DedupKey key{request.from, request.message_id.value()};
   {
     ScopedSpan dedup_span("dedup");
     std::lock_guard<std::mutex> lk(dedup_mu_);
     auto it = dedup_completed_.find(key);
-    if (it != dedup_completed_.end()) {
+    // A logged reply joins the table at its sequencing point, before it
+    // is durable; while the original is still in progress (awaiting its
+    // durable ack) a duplicate is refused below, never answered.
+    if (it != dedup_completed_.end() && dedup_in_progress_.count(key) == 0) {
       dedup_span.set_status("replayed");
       replays_total->Increment();
       stats_.duplicates_replayed.fetch_add(1, std::memory_order_relaxed);
@@ -1761,7 +1674,8 @@ Result<Envelope> PromiseManager::Handle(const Envelope& request) {
     }
   }
 
-  Result<Envelope> reply = HandleInner(request, &key);
+  Result<Envelope> reply =
+      HandleInner(request, ClientFor(request.from), &key);
 
   {
     std::lock_guard<std::mutex> lk(dedup_mu_);
@@ -1771,16 +1685,23 @@ Result<Envelope> PromiseManager::Handle(const Envelope& request) {
     // Logged operations were already inserted (LSN-tagged) at their
     // sequencing point inside HandleInner; this covers the unlogged
     // path (lsn 0: always inside any checkpoint cut).
-    if (reply.ok() && dedup_completed_.count(key) == 0) {
-      dedup_completed_.emplace(key, DedupEntry{*reply, 0});
-      dedup_fifo_.push_back(key);
-      while (dedup_fifo_.size() > config_.dedup_capacity) {
-        dedup_completed_.erase(dedup_fifo_.front());
-        dedup_fifo_.pop_front();
-      }
-    }
+    if (reply.ok()) RememberReplyLocked(key, *reply, 0);
   }
   return reply;
+}
+
+bool PromiseManager::RememberReplyLocked(const DedupKey& key,
+                                         const Envelope& reply,
+                                         uint64_t lsn) {
+  auto [it, inserted] = dedup_completed_.try_emplace(key);
+  if (!inserted) return false;
+  it->second = DedupEntry{reply, lsn};
+  dedup_fifo_.push_back(key);
+  while (dedup_fifo_.size() > config_.dedup_capacity) {
+    dedup_completed_.erase(dedup_fifo_.front());
+    dedup_fifo_.pop_front();
+  }
+  return true;
 }
 
 std::set<std::string> PromiseManager::PlanEnvelope(
@@ -1795,16 +1716,7 @@ std::set<std::string> PromiseManager::PlanEnvelope(
       AddPromiseClasses(&classes, id);
     }
   }
-  if (request.poll) {
-    std::lock_guard<std::mutex> lk(pending_mu_);
-    for (const PendingRequest& req : pending_) {
-      if (req.ticket != request.poll->ticket) continue;
-      for (const Predicate& p : req.predicates) {
-        classes.insert(p.resource_class());
-      }
-      break;
-    }
-  }
+  if (request.poll) AddTicketClasses(&classes, request.poll->ticket);
   if (request.release) {
     for (PromiseId id : request.release->promises) {
       AddPromiseClasses(&classes, id);
@@ -1827,7 +1739,9 @@ std::set<std::string> PromiseManager::PlanEnvelopeClasses(
 }
 
 Result<Envelope> PromiseManager::HandleInner(const Envelope& request,
-                                             const DedupKey* dedup_key) {
+                                             ClientId client,
+                                             const DedupKey* dedup_key,
+                                             DirectOutcome* direct) {
   std::set<std::string> classes = PlanEnvelope(request);
 
   LockScope scope;
@@ -1845,14 +1759,19 @@ Result<Envelope> PromiseManager::HandleInner(const Envelope& request,
     }
     txn = std::move(txn_or).value();
   }
-  ClientId client = ClientFor(request.from);
   PROMISES_RETURN_IF_ERROR(ExpireDueLocked(txn.get(), scope));
 
-  Envelope reply;
-  reply.message_id =
-      transport_ != nullptr ? transport_->NextMessageId() : MessageId(1);
-  reply.from = config_.name;
-  reply.to = request.from;
+  // Built in place inside the returned Result (no envelope moves on
+  // return). Direct callers read only the reply's headers: they skip
+  // its addressing and draw no transport message id.
+  Result<Envelope> result{Envelope{}};
+  Envelope& reply = *result;
+  if (direct == nullptr) {
+    reply.message_id =
+        transport_ != nullptr ? transport_->NextMessageId() : MessageId(1);
+    reply.from = config_.name;
+    reply.to = request.from;
+  }
 
   bool grant_rejected = false;
   PromiseId fresh_promise;
@@ -1860,18 +1779,17 @@ Result<Envelope> PromiseManager::HandleInner(const Envelope& request,
 
   if (request.promise_request) {
     const PromiseRequestHeader& pr = *request.promise_request;
-    Result<GrantOutcome> out_or = [&] {
+    GrantOutcome out;
+    {
       // Predicate evaluation against current resource state is the
       // grant decision's cost center.
       ScopedSpan grant_span("predicate-eval");
-      Result<GrantOutcome> r =
-          GrantLocked(txn.get(), client, pr.predicates, pr.duration_ms,
-                      pr.release_on_grant);
-      if (r.ok() && !r->accepted) grant_span.set_status("rejected");
-      return r;
-    }();
-    PROMISES_ASSIGN_OR_RETURN(GrantOutcome out, std::move(out_or));
-    PromiseResponseHeader resp;
+      PROMISES_ASSIGN_OR_RETURN(
+          out, GrantLocked(txn.get(), client, pr.predicates, pr.duration_ms,
+                           pr.release_on_grant));
+      if (!out.accepted) grant_span.set_status("rejected");
+    }
+    PromiseResponseHeader& resp = reply.promise_response.emplace();
     resp.promise_id = out.promise_id;
     resp.result = out.accepted ? PromiseResultCode::kAccepted
                                : PromiseResultCode::kRejected;
@@ -1891,55 +1809,49 @@ Result<Envelope> PromiseManager::HandleInner(const Envelope& request,
     }
     resp.granted_duration_ms = out.duration_ms;
     resp.correlation = pr.request_id;
-    resp.reason = out.reason;
-    resp.counter_offer = out.counter_offer;
-    reply.promise_response = std::move(resp);
+    resp.reason = std::move(out.reason);
+    resp.counter_offer = std::move(out.counter_offer);
     grant_rejected = !out.accepted;
     fresh_promise = out.promise_id;
     consumed_id = out.consumed_id;
   } else if (request.poll) {
     // Resolve a queued request's ticket (processed only when the
-    // envelope carries no new promise-request).
+    // envelope carries no new promise-request). Another client's
+    // ticket reads as unknown.
     PROMISES_RETURN_IF_ERROR(DrainPendingScoped(txn.get(), scope));
-    PromiseResponseHeader resp;
+    PromiseResponseHeader& resp = reply.promise_response.emplace();
     resp.correlation = RequestId(request.poll->ticket);
-    bool found = false;
-    {
-      std::lock_guard<std::mutex> lk(pending_mu_);
-      auto fit = fulfilled_.find(request.poll->ticket);
-      if (fit != fulfilled_.end() && fit->second.first == client) {
-        GrantOutcome out = std::move(fit->second.second);
-        fulfilled_.erase(fit);
-        resp.result = out.accepted ? PromiseResultCode::kAccepted
-                                   : PromiseResultCode::kRejected;
-        resp.promise_id = out.promise_id;
-        resp.granted_duration_ms = out.duration_ms;
-        resp.reason = out.reason;
-        found = true;
-      } else {
-        for (const PendingRequest& req : pending_) {
-          if (req.ticket == request.poll->ticket && req.client == client) {
-            resp.result = PromiseResultCode::kPending;
-            resp.pending_ticket = req.ticket;
-            found = true;
-            break;
-          }
-        }
-      }
-    }
-    if (!found) {
+    Result<QueuedOutcome> taken = TakeTicket(client, request.poll->ticket);
+    if (!taken.ok()) {
       resp.result = PromiseResultCode::kRejected;
       resp.reason = "unknown ticket " + std::to_string(request.poll->ticket);
+    } else if (taken->queued) {
+      resp.result = PromiseResultCode::kPending;
+      resp.pending_ticket = taken->ticket;
+    } else {
+      resp.result = taken->outcome.accepted ? PromiseResultCode::kAccepted
+                                            : PromiseResultCode::kRejected;
+      resp.promise_id = taken->outcome.promise_id;
+      resp.granted_duration_ms = taken->outcome.duration_ms;
+      resp.reason = std::move(taken->outcome.reason);
     }
-    reply.promise_response = std::move(resp);
   }
 
   if (request.release) {
     for (PromiseId id : request.release->promises) {
+      // Gone (released/expired) or appearing after lock planning: not
+      // releasable by this operation; neither is another client's.
       auto id_classes = table_.ClassesOf(id);
-      if (!id_classes || !scope.CoversAll(*id_classes)) continue;
-      const PromiseRecord* rec = table_.Find(id);
-      if (rec == nullptr || rec->owner != client) continue;
+      const PromiseRecord* rec =
+          id_classes && scope.CoversAll(*id_classes) ? table_.Find(id)
+                                                     : nullptr;
+      if (rec == nullptr || rec->owner != client) {
+        if (direct != nullptr) {
+          direct->release_problems.append(" ").append(id.ToString()).append(
+              rec == nullptr ? " not active;" : " owned by another client;");
+        }
+        continue;
+      }
       PROMISES_RETURN_IF_ERROR(
           ReleaseOneLocked(txn.get(), id, PromiseState::kReleased));
       stats_.released.fetch_add(1, std::memory_order_relaxed);
@@ -1949,35 +1861,37 @@ Result<Envelope> PromiseManager::HandleInner(const Envelope& request,
   if (request.action) {
     if (grant_rejected) {
       // The action depended on the rejected request; §4 atomic unit.
-      ActionResultBody r;
+      ActionResultBody& r = reply.action_result.emplace();
       r.ok = false;
       r.error = "skipped: accompanying promise request was rejected";
-      reply.action_result = std::move(r);
       stats_.actions.fetch_add(1, std::memory_order_relaxed);
       stats_.action_failures.fetch_add(1, std::memory_order_relaxed);
     } else {
-      EnvironmentHeader env;
-      if (request.environment) env = *request.environment;
+      static const EnvironmentHeader kNoEnvironment;
+      const EnvironmentHeader* env =
+          request.environment ? &*request.environment : &kNoEnvironment;
       // Convention: promise id 0 in an environment refers to the
       // promise granted by this same envelope's request.
-      for (EnvironmentHeader::Entry& e : env.entries) {
-        if (!e.promise.valid() && fresh_promise.valid()) {
-          e.promise = fresh_promise;
+      EnvironmentHeader bound;
+      if (fresh_promise.valid()) {
+        bound = *env;
+        for (EnvironmentHeader::Entry& e : bound.entries) {
+          if (!e.promise.valid()) e.promise = fresh_promise;
         }
+        env = &bound;
       }
-      Result<ActionOutcome> out_or = [&] {
+      ActionOutcome out;
+      {
         ScopedSpan action_span("action-exec");
-        Result<ActionOutcome> r =
-            ExecuteLocked(txn.get(), &scope, client, *request.action, env);
-        if (r.ok() && !r->ok) action_span.set_status("action-failed");
-        return r;
-      }();
-      PROMISES_ASSIGN_OR_RETURN(ActionOutcome out, std::move(out_or));
-      ActionResultBody r;
+        PROMISES_ASSIGN_OR_RETURN(
+            out, ExecuteLocked(txn.get(), &scope, client, *request.action,
+                               *env));
+        if (!out.ok) action_span.set_status("action-failed");
+      }
+      ActionResultBody& r = reply.action_result.emplace();
       r.ok = out.ok;
-      r.error = out.error;
+      r.error = std::move(out.error);
       r.outputs = std::move(out.outputs);
-      reply.action_result = std::move(r);
     }
   }
 
@@ -1994,16 +1908,7 @@ Result<Envelope> PromiseManager::HandleInner(const Envelope& request,
     // fuzzy checkpoint's cut filter (lsn <= cut) keeps exactly the
     // replies whose operations the snapshot covers.
     std::lock_guard<std::mutex> lk(dedup_mu_);
-    dedup_inserted =
-        dedup_completed_.emplace(*dedup_key, DedupEntry{reply, ticket.sequence})
-            .second;
-    if (dedup_inserted) {
-      dedup_fifo_.push_back(*dedup_key);
-      while (dedup_fifo_.size() > config_.dedup_capacity) {
-        dedup_completed_.erase(dedup_fifo_.front());
-        dedup_fifo_.pop_front();
-      }
-    }
+    dedup_inserted = RememberReplyLocked(*dedup_key, reply, ticket.sequence);
   }
   Status commit_status = txn->Commit();
   if (!commit_status.ok()) {
@@ -2018,7 +1923,7 @@ Result<Envelope> PromiseManager::HandleInner(const Envelope& request,
   // are not cached by the dedup layer, so a client retry would
   // re-execute an operation that already committed. The loss is still
   // loud — detach counter, error span — and direct-API callers get
-  // kDataLoss (see AwaitLogDurable).
+  // kDataLoss through `direct` (see AwaitLogDurable).
   //
   // Inside an epoch the durable wait is deferred: the operation's
   // sequence is handed to the executor, which waits once per epoch on
@@ -2031,9 +1936,11 @@ Result<Envelope> PromiseManager::HandleInner(const Envelope& request,
       tls_epoch_->log_sequence = ticket.sequence;
     }
   } else {
-    (void)AwaitLogDurable(ticket);
+    Status durable = AwaitLogDurable(ticket);
+    if (direct != nullptr) direct->durable = std::move(durable);
   }
-  return reply;
+  if (direct != nullptr) direct->consumed_id = consumed_id;
+  return result;
 }
 
 Result<std::unique_ptr<Transaction>> PromiseManager::AcquireEpoch() {

@@ -206,6 +206,7 @@ class PromiseManager {
   PromiseManager& operator=(const PromiseManager&) = delete;
 
   // --- Direct (in-process) API ---
+  // Envelope builders over the operation path Handle and replay run.
 
   /// Requests promises for all `predicates` atomically (§4).
   /// `release_on_grant` promises are handed back in the same atomic
@@ -270,8 +271,10 @@ class PromiseManager {
   /// processed returns the original cached reply without re-executing
   /// (and without re-logging), so client retries and duplicate
   /// deliveries are harmless. A duplicate of a request still in flight
-  /// on another thread fails with kUnavailable (retryable) rather than
-  /// racing it. Envelopes with message id 0 bypass deduplication.
+  /// on another thread (its durable wait included) fails with
+  /// kUnavailable (retryable) rather than racing it or seeing a reply
+  /// that is not durable yet. Envelopes with message id 0 bypass
+  /// deduplication.
   Result<Envelope> Handle(const Envelope& request);
 
   /// Stable ClientId for a protocol-level sender name.
@@ -556,13 +559,37 @@ class PromiseManager {
   /// planning step of HandleInner and PlanEnvelopeClasses.
   std::set<std::string> PlanEnvelope(const Envelope& request) const;
 
-  /// Handle minus the idempotency layer: always executes the envelope.
-  /// When `dedup_key` is non-null, the reply is inserted into the
+  /// What a direct-API builder reads back besides the reply envelope.
+  struct DirectOutcome {
+    std::string release_problems;  ///< " <id> <why>;" per unreleased id
+    Status durable;                ///< durable ack (kDataLoss when lost)
+    PromiseId consumed_id;         ///< GrantOutcome::consumed_id
+  };
+
+  /// The one operation path for client envelopes, run on behalf of
+  /// `client`; Handle adds the idempotency layer in front. When
+  /// `dedup_key` is non-null, the reply is inserted into the
   /// completed-dedup table at the operation's log sequencing point
   /// (inside the stripe locks), tagged with the record's LSN — so a
   /// checkpoint's LSN filter sees exactly the replies at its cut.
-  Result<Envelope> HandleInner(const Envelope& request,
-                               const DedupKey* dedup_key);
+  /// `direct` (non-null for the direct API) collects release problems
+  /// and the durable-ack status the reply envelope cannot carry.
+  Result<Envelope> HandleInner(const Envelope& request, ClientId client,
+                               const DedupKey* dedup_key,
+                               DirectOutcome* direct = nullptr);
+
+  /// Envelope a direct-API call logs: message id 0 (exempt from dedup
+  /// on replay), from = the client's registered name.
+  Envelope DirectEnvelope(ClientId client);
+
+  /// Inserts a reply into the dedup table, evicting FIFO past capacity;
+  /// false if the key is present. Caller holds dedup_mu_.
+  bool RememberReplyLocked(const DedupKey& key, const Envelope& reply,
+                           uint64_t lsn);
+
+  /// Re-executes one log record: an envelope through Handle (`parsed`
+  /// when the caller already decoded it), or an external event.
+  Status ReplayRecord(const std::string& payload, const Envelope* parsed);
 
   /// Shared tail of the ReportExternal* entry points: breaks promises
   /// on `cls` (newest first) until every engine verifies again, logs
@@ -642,14 +669,22 @@ class PromiseManager {
   Status AwaitLogDurable(const LogTicket& ticket);
   /// Detaches `expected` (idempotent CAS) after a durability failure.
   void DetachLog(OperationLog* expected, const Status& cause);
-  /// Name under which `client` was registered (for synthesizing log
-  /// envelopes from direct-API calls).
+  /// Name under which `client` was registered (the `from` of the
+  /// envelopes direct-API calls build).
   const std::string& NameOf(ClientId client);
 
   /// Retries queued requests inside the current operation: claims the
   /// entries whose classes the scope covers (plus lapsed ones), grants
   /// or re-queues them in ticket (FIFO) order.
   Status DrainPendingScoped(Transaction* txn, const LockScope& scope);
+
+  /// Lock planning for a still-queued `ticket`'s predicate classes.
+  void AddTicketClasses(std::set<std::string>* classes,
+                        PendingTicket ticket) const;
+
+  /// Consumes a fulfilled `ticket` or reports it still queued;
+  /// kFailedPrecondition for another client's, kNotFound if unknown.
+  Result<QueuedOutcome> TakeTicket(ClientId client, PendingTicket ticket);
 
   ViolationHandler violation_handler_;
   // Atomic: read lock-free on every operation's fast path and cleared

@@ -107,11 +107,19 @@ std::string Expr::ToString() const {
       return property_ + " " + std::string(CompareOpToString(op_)) + " " +
              LiteralToSource(literal_);
     case Kind::kNot:
-      return "!(" + lhs_->ToString() + ")";
+      return std::string("!(").append(lhs_->ToString()).append(")");
     case Kind::kAnd:
-      return "(" + lhs_->ToString() + " && " + rhs_->ToString() + ")";
+      return std::string("(")
+          .append(lhs_->ToString())
+          .append(" && ")
+          .append(rhs_->ToString())
+          .append(")");
     case Kind::kOr:
-      return "(" + lhs_->ToString() + " || " + rhs_->ToString() + ")";
+      return std::string("(")
+          .append(lhs_->ToString())
+          .append(" || ")
+          .append(rhs_->ToString())
+          .append(")");
   }
   return "";
 }

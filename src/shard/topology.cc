@@ -87,7 +87,8 @@ ShardTopology ShardTopology::WithVersion(uint64_t new_version) const {
 }
 
 std::string ShardTopology::ToString() const {
-  std::string out = "v" + std::to_string(version_) + "|";
+  std::string out =
+      std::string("v").append(std::to_string(version_)).append("|");
   for (size_t i = 0; i < endpoints_.size(); ++i) {
     if (i > 0) out += ",";
     out += endpoints_[i];

@@ -183,7 +183,7 @@ struct WorldParts {
     Schema schema({{"floor", ValueType::kInt, false}});
     (void)rm.CreateInstanceClass("room", schema);
     for (int i = 0; i < 4; ++i) {
-      (void)rm.AddInstance("room", "r" + std::to_string(i),
+      (void)rm.AddInstance("room", std::string("r").append(std::to_string(i)),
                            {{"floor", Value(1 + i % 2)}});
     }
     PromiseManagerConfig config;
@@ -873,7 +873,7 @@ TEST(CheckpointTest, FuzzyCaptureUnderConcurrentLoad) {
   auto make_world = [](SimulatedClock* clock, TransactionManager* tm,
                        ResourceManager* rm) {
     for (int i = 0; i < kWorkers; ++i) {
-      (void)rm->CreatePool("c" + std::to_string(i), 1'000);
+      (void)rm->CreatePool(std::string("c").append(std::to_string(i)), 1'000);
     }
     PromiseManagerConfig config;
     config.name = "fuzzy";

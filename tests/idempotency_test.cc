@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <map>
@@ -261,6 +262,53 @@ TEST(IdempotencyTest, InFlightDuplicateRefusedRetryably) {
   auto retry = world.pm->Handle(env);
   ASSERT_TRUE(retry.ok());
   EXPECT_EQ(world.pm->stats().duplicates_replayed, 1u);
+}
+
+TEST(IdempotencyTest, DuplicateDuringDurableWaitIsRefused) {
+  // The original's reply is in the dedup table from its sequencing
+  // point on, but its record is not durable until the group flushes.
+  // A duplicate arriving in that window must be refused retryably,
+  // never answered with the not-yet-durable reply.
+  std::string log_path =
+      "/tmp/promises_dedup_durable_wait_" +
+      std::to_string(reinterpret_cast<uintptr_t>(&log_path)) + ".log";
+  std::remove(log_path.c_str());
+  SimulatedClock clock{0};
+  TransactionManager tm{100};
+  ResourceManager rm;
+  (void)rm.CreatePool("stock", 50);
+  PromiseManagerConfig config;
+  config.name = "dedup-pm";
+  PromiseManager pm(config, &clock, &rm, &tm);
+  OperationLog log;
+  ASSERT_TRUE(log.Open(log_path).ok());
+  GroupCommitConfig group;
+  group.max_batch = 1024;  // never fills: only the delay flushes
+  group.max_delay_ms = 50;
+  ASSERT_TRUE(log.StartGroupCommit(group, &clock).ok());
+  ASSERT_TRUE(pm.AttachLog(&log).ok());
+
+  Envelope env = RequestEnvelope(90, "client-a", 10);
+  Result<Envelope> first = Status::Internal("unset");
+  std::thread original([&] { first = pm.Handle(env); });
+  // Wait until the original is sequenced, then give it time to reach
+  // its durable wait (the simulated clock holds the group open).
+  while (log.CutPoint()->sequence == 0) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  auto duplicate = pm.Handle(env);
+  clock.Advance(51);
+  original.join();
+  ASSERT_FALSE(duplicate.ok());
+  EXPECT_EQ(duplicate.status().code(), StatusCode::kUnavailable);
+  ASSERT_TRUE(first.ok());
+  auto retry = pm.Handle(env);
+  ASSERT_TRUE(retry.ok());
+  EXPECT_EQ(retry->promise_response->promise_id,
+            first->promise_response->promise_id);
+  EXPECT_EQ(pm.stats().granted, 1u);
+  log.Close();
+  std::remove(log_path.c_str());
 }
 
 // The acceptance scenario: a granted-but-reply-lost request whose

@@ -729,7 +729,7 @@ TEST(OverloadStressTest, QueueFullSheddingUnderConcurrentClients) {
       for (int i = 0; i < kCalls; ++i) {
         Result<Envelope> r = ch.Call(LoadRequest(
             static_cast<uint64_t>(t) * 1'000 + static_cast<uint64_t>(i) + 1,
-            "c" + std::to_string(t)));
+            std::string("c").append(std::to_string(t))));
         if (r.ok()) {
           ++ok_count;
         } else if (r.status().code() == StatusCode::kResourceExhausted) {
@@ -780,7 +780,8 @@ TEST(OverloadStressTest, StopRacesInFlightWork) {
       uint64_t id = static_cast<uint64_t>(t) * 100'000;
       // Call until the server goes away under us; queued work that
       // Stop discards surfaces as a closed connection or timeout.
-      while (ch.Call(LoadRequest(++id, "c" + std::to_string(t))).ok()) {
+      std::string from = std::string("c").append(std::to_string(t));
+      while (ch.Call(LoadRequest(++id, from)).ok()) {
       }
     });
   }

@@ -283,20 +283,35 @@ TEST_F(PendingTest, ConcurrentQueueAndReleaseKeepsBooks) {
   for (auto& t : threads) t.join();
   // Free the blocker: all queued tickets become grantable.
   ASSERT_TRUE(pm_->Release(alice_, {held->outcome.promise_id}).ok());
+  // A ticket still queued at one poll may be granted by a later
+  // release, so poll every ticket until it resolves (each round grants
+  // at least one: stock never runs out once the blocker is gone).
   size_t resolved = 0;
-  for (int t = 0; t < kThreads; ++t) {
-    ClientId me = pm_->ClientFor("q-" + std::to_string(t));
-    for (auto ticket : tickets[t]) {
-      auto poll = pm_->PollPending(me, ticket);
-      ASSERT_TRUE(poll.ok());
-      if (!poll->queued && poll->outcome.accepted) {
-        ++resolved;
-        (void)pm_->Release(me, {poll->outcome.promise_id});
+  size_t outstanding = 0;
+  for (int round = 0; round <= kThreads * kPerThread; ++round) {
+    outstanding = 0;
+    for (int t = 0; t < kThreads; ++t) {
+      ClientId me = pm_->ClientFor("q-" + std::to_string(t));
+      std::vector<PromiseManager::PendingTicket> still_queued;
+      for (auto ticket : tickets[t]) {
+        auto poll = pm_->PollPending(me, ticket);
+        ASSERT_TRUE(poll.ok()) << poll.status().ToString();
+        if (poll->queued) {
+          still_queued.push_back(ticket);
+        } else if (poll->outcome.accepted) {
+          ++resolved;
+          ASSERT_TRUE(pm_->Release(me, {poll->outcome.promise_id}).ok());
+        }
       }
+      tickets[t] = std::move(still_queued);
+      outstanding += tickets[t].size();
     }
+    if (outstanding == 0) break;
   }
+  EXPECT_EQ(outstanding, 0u);
   EXPECT_GT(resolved, 0u);
   EXPECT_EQ(pm_->active_promises(), 0u);
+  EXPECT_EQ(pm_->pending_requests(), 0u);
 }
 
 }  // namespace

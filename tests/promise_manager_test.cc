@@ -136,11 +136,11 @@ TEST_F(PromiseManagerTest, ExplicitRelease) {
 TEST_F(PromiseManagerTest, ReleaseValidatesOwnership) {
   GrantOutcome g = MustGrant(client_, "quantity('widget') >= 8");
   Status st = pm_->Release(other_, {g.promise_id});
-  EXPECT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsNotFound()) << st.ToString();
   EXPECT_EQ(pm_->active_promises(), 1u);
   // Unknown ids reported but do not fail others.
   st = pm_->Release(client_, {PromiseId(999), g.promise_id});
-  EXPECT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsNotFound()) << st.ToString();
   EXPECT_EQ(pm_->active_promises(), 0u);
 }
 

@@ -482,6 +482,111 @@ TEST(RecoveryTest, CrashMidAppendRecoversTheCleanPrefix) {
   EXPECT_NE(recovered.pm->FindPromise(first_id), nullptr);
 }
 
+TEST(RecoveryTest, TornWriteFailsReleaseAndExecuteWithDataLoss) {
+  // CrashMidAppendRecoversTheCleanPrefix covers a torn grant record;
+  // Release and Execute report the lost record the same way, and their
+  // in-memory effect stands (the log is detached, not rolled back).
+  for (bool release : {true, false}) {
+    SCOPED_TRACE(release ? "release" : "execute");
+    TempLogFile file("torn_direct");
+    WorldParts world;
+    OperationLog log;
+    ASSERT_TRUE(log.Open(file.path()).ok());
+    ASSERT_TRUE(world.pm->AttachLog(&log).ok());
+    auto held = world.pm->RequestPromise(
+        world.client, {Predicate::Quantity("stock", CompareOp::kGe, 10)});
+    ASSERT_TRUE(held.ok() && held->accepted);
+
+    log.InjectTornWrite(10);
+    if (release) {
+      Status st = world.pm->Release(world.client, {held->promise_id});
+      EXPECT_TRUE(st.IsDataLoss()) << st.ToString();
+      EXPECT_EQ(world.pm->active_promises(), 0u);
+    } else {
+      ActionBody buy;
+      buy.service = "inventory";
+      buy.operation = "purchase";
+      buy.params["item"] = Value("stock");
+      buy.params["quantity"] = Value(4);
+      auto bought = world.pm->Execute(world.client, buy);
+      EXPECT_TRUE(bought.status().IsDataLoss()) << bought.status().ToString();
+      auto txn = world.tm.Begin();
+      EXPECT_EQ(*world.rm.GetQuantity(txn.get(), "stock"), 46);
+    }
+  }
+}
+
+TEST(RecoveryTest, DirectApiLogPayloadsArePinned) {
+  // The exact records the direct API writes. Logs written by earlier
+  // builds must keep replaying, so these bytes must not drift.
+  TempLogFile file("direct_payloads");
+  WorldParts world;
+  OperationLog log;
+  ASSERT_TRUE(log.Open(file.path()).ok());
+  ASSERT_TRUE(world.pm->AttachLog(&log).ok());
+
+  auto g1 = world.pm->RequestPromise(
+      world.client, {Predicate::Quantity("stock", CompareOp::kGe, 20)}, 3'000);
+  ASSERT_TRUE(g1.ok() && g1->accepted);
+  auto rejected = world.pm->RequestPromise(
+      world.client, {Predicate::Quantity("stock", CompareOp::kGe, 49)});
+  ASSERT_TRUE(rejected.ok() && !rejected->accepted);
+  auto g2 = world.pm->RequestPromise(
+      world.client,
+      {Predicate::Property("room",
+                           Expr::Compare("floor", CompareOp::kEq, Value(1)),
+                           1)},
+      0, {g1->promise_id});
+  ASSERT_TRUE(g2.ok() && g2->accepted);
+  ActionBody book;
+  book.service = "booking";
+  book.operation = "book";
+  book.params["class"] = Value("room");
+  book.params["promise"] = Value(static_cast<int64_t>(g2->promise_id.value()));
+  auto booked = world.pm->Execute(world.client, book,
+                                  EnvironmentHeader{{{g2->promise_id, true}}});
+  ASSERT_TRUE(booked.ok() && booked->ok) << booked->error;
+  ActionBody restock;
+  restock.service = "inventory";
+  restock.operation = "restock";
+  restock.params["item"] = Value("stock");
+  restock.params["quantity"] = Value(2);
+  ASSERT_TRUE(world.pm->Execute(world.client, restock).ok());
+  auto g3 = world.pm->RequestPromise(
+      world.client, {Predicate::Quantity("stock", CompareOp::kGe, 1)});
+  ASSERT_TRUE(g3.ok() && g3->accepted);
+  EXPECT_TRUE(world.pm->Release(world.client, {g3->promise_id, PromiseId(77)})
+                  .IsNotFound());
+  log.Close();
+
+  auto records = OperationLog::ReadAll(file.path());
+  ASSERT_TRUE(records.ok());
+  const std::vector<std::pair<uint64_t, std::string>> expected = {
+      {1,
+       R"(<envelope from="survivor" message-id="0" to="recoverable"><header><promise-request duration-ms="3000" request-id="1"><predicate resource="stock">quantity(&apos;stock&apos;) &gt;= 20</predicate></promise-request></header><body/></envelope>)"},
+      {2,
+       R"(<envelope from="survivor" message-id="0" to="recoverable"><header><promise-request duration-ms="0" request-id="1"><predicate resource="stock">quantity(&apos;stock&apos;) &gt;= 49</predicate></promise-request></header><body/></envelope>)"},
+      {3,
+       R"(<envelope from="survivor" message-id="0" to="recoverable"><header><promise-request duration-ms="0" request-id="1"><predicate resource="room">count(&apos;room&apos; where floor == 1) &gt;= 1</predicate><release-on-grant promise-id="1"/></promise-request></header><body/></envelope>)"},
+      {0,
+       R"(<envelope from="survivor" message-id="0" to="recoverable"><header><environment><promise promise-id="3" release-after="true"/></environment></header><body><action operation="book" service="booking"><param name="class" type="string">room</param><param name="promise" type="int">3</param></action></body></envelope>)"},
+      {0,
+       R"(<envelope from="survivor" message-id="0" to="recoverable"><header><environment/></header><body><action operation="restock" service="inventory"><param name="item" type="string">stock</param><param name="quantity" type="int">2</param></action></body></envelope>)"},
+      {4,
+       R"(<envelope from="survivor" message-id="0" to="recoverable"><header><promise-request duration-ms="0" request-id="1"><predicate resource="stock">quantity(&apos;stock&apos;) &gt;= 1</predicate></promise-request></header><body/></envelope>)"},
+      {0,
+       R"(<envelope from="survivor" message-id="0" to="recoverable"><header><release><promise promise-id="4"/><promise promise-id="77"/></release></header><body/></envelope>)"},
+  };
+  ASSERT_EQ(records->size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ((*records)[i].promise_id, expected[i].first) << i;
+    EXPECT_EQ((*records)[i].payload, expected[i].second) << i;
+  }
+  WorldParts recovered;
+  ASSERT_TRUE(recovered.pm->ReplayLog(*records, &recovered.clock).ok());
+  ExpectEquivalent(world, recovered);
+}
+
 // --- Logged managers keep the striped lock scope ------------------------
 
 TEST(RecoveryTest, LoggedOperationsKeepStripedLockScope) {

@@ -47,6 +47,12 @@ struct FromTextCase {
   ValueType type;
 };
 
+// Names each case by its input text; without this gtest prints the raw
+// bytes of the struct, pointer included, so test names change every run.
+void PrintTo(const FromTextCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.text));
+}
+
 class ValueFromTextTest : public ::testing::TestWithParam<FromTextCase> {};
 
 TEST_P(ValueFromTextTest, ParsesToExpectedType) {

@@ -95,7 +95,7 @@ TEST(TcpTransportTest, ConcurrentConnections) {
       for (int i = 0; i < kCalls; ++i) {
         Envelope req;
         req.message_id = MessageId(static_cast<uint64_t>(c * 1000 + i + 1));
-        req.from = "client-" + std::to_string(c);
+        req.from = std::string("client-").append(std::to_string(c));
         req.to = "server";
         ActionBody a;
         a.service = "s";
