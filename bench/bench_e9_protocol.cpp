@@ -2,9 +2,10 @@
 // naturally into the SOAP protocol... All of our promise protocol
 // messages can be transferred as elements in SOAP message headers."
 //
-// Measures envelope serialize / parse cost vs header complexity, and
-// the full transport round trip with and without on-wire XML encoding
-// — i.e. what the promise headers add to an application message.
+// Measures envelope serialize / parse cost vs header complexity for
+// both codecs (the XML SOAP rendering and the internal binary one), and
+// the full transport round trip with and without on-wire encoding —
+// i.e. what the promise headers add to an application message.
 
 #include <benchmark/benchmark.h>
 
@@ -56,35 +57,44 @@ Envelope MakeEnvelope(int num_predicates, bool with_action) {
   return env;
 }
 
-void BM_Serialize(benchmark::State& state) {
+// Each codec at each header complexity: XML is the §6 SOAP rendering,
+// binary is what the log, the transports and checkpoints carry.
+void BM_Serialize(benchmark::State& state, EnvelopeEncoding encoding) {
   Envelope env = MakeEnvelope(static_cast<int>(state.range(0)), true);
   size_t bytes = 0;
   for (auto _ : state) {
-    std::string xml = env.ToXml();
-    bytes = xml.size();
-    benchmark::DoNotOptimize(xml);
+    std::string wire = env.Encode(encoding);
+    bytes = wire.size();
+    benchmark::DoNotOptimize(wire);
   }
   state.counters["bytes"] = static_cast<double>(bytes);
 }
-BENCHMARK(BM_Serialize)->Arg(0)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK_CAPTURE(BM_Serialize, Xml, EnvelopeEncoding::kXml)
+    ->Arg(0)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK_CAPTURE(BM_Serialize, Binary, EnvelopeEncoding::kBinary)
+    ->Arg(0)->Arg(1)->Arg(4)->Arg(16);
 
-void BM_Parse(benchmark::State& state) {
-  std::string xml =
-      MakeEnvelope(static_cast<int>(state.range(0)), true).ToXml();
+void BM_Parse(benchmark::State& state, EnvelopeEncoding encoding) {
+  std::string wire =
+      MakeEnvelope(static_cast<int>(state.range(0)), true).Encode(encoding);
   for (auto _ : state) {
-    auto env = Envelope::FromXml(xml);
+    auto env = Envelope::Decode(wire);
     if (!env.ok()) {
       state.SkipWithError("parse failed");
       return;
     }
     benchmark::DoNotOptimize(*env);
   }
-  state.counters["bytes"] = static_cast<double>(xml.size());
+  state.counters["bytes"] = static_cast<double>(wire.size());
 }
-BENCHMARK(BM_Parse)->Arg(0)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK_CAPTURE(BM_Parse, Xml, EnvelopeEncoding::kXml)
+    ->Arg(0)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK_CAPTURE(BM_Parse, Binary, EnvelopeEncoding::kBinary)
+    ->Arg(0)->Arg(1)->Arg(4)->Arg(16);
 
 // Full stack: grant + purchase-with-release through the manager over
-// the transport, with XML on the wire vs by-reference dispatch.
+// the transport, with the binary codec on the wire vs by-reference
+// dispatch.
 void RoundTrip(benchmark::State& state, bool encode) {
   SimulatedClock clock;
   TransactionManager tm(5000);
@@ -125,17 +135,18 @@ void RoundTrip(benchmark::State& state, bool encode) {
     }
   }
 }
-void BM_RoundTripXmlWire(benchmark::State& state) {
+void BM_RoundTripBinaryWire(benchmark::State& state) {
   RoundTrip(state, /*encode=*/true);
 }
 void BM_RoundTripByReference(benchmark::State& state) {
   RoundTrip(state, /*encode=*/false);
 }
-BENCHMARK(BM_RoundTripXmlWire);
+BENCHMARK(BM_RoundTripBinaryWire);
 BENCHMARK(BM_RoundTripByReference);
 
-// Same grant+purchase exchange over an actual loopback TCP socket.
-void BM_RoundTripTcp(benchmark::State& state) {
+// Same grant+purchase exchange over an actual loopback TCP socket
+// (TcpClientChannel sends binary frames).
+void BM_RoundTripTcpBinary(benchmark::State& state) {
   SimulatedClock clock;
   TransactionManager tm(5000);
   ResourceManager rm;
@@ -186,7 +197,7 @@ void BM_RoundTripTcp(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_RoundTripTcp);
+BENCHMARK(BM_RoundTripTcpBinary);
 
 }  // namespace
 }  // namespace promises

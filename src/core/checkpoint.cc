@@ -228,10 +228,10 @@ std::string SerializeCheckpoint(const CheckpointData& data) {
     EncodeField(&body, entry.from);
     EncodeU64(&body, entry.message_id);
     EncodeU64(&body, entry.lsn);
-    EncodeField(&body, entry.reply_xml);
+    EncodeField(&body, entry.reply);
   }
 
-  std::string out = "pmckpt|1|" + std::to_string(body.size()) + "|" +
+  std::string out = "pmckpt|2|" + std::to_string(body.size()) + "|" +
                     std::to_string(OperationLog::Checksum(body)) + "\n";
   out += body;
   return out;
@@ -246,7 +246,9 @@ Result<CheckpointData> ParseCheckpoint(const std::string& content) {
   if (header.size() != 4 || header[0] != "pmckpt") {
     return Status::DataLoss("checkpoint header is malformed");
   }
-  if (header[1] != "1") {
+  // Version 2 differs from 1 only in how dedup replies are encoded,
+  // and restore decodes both encodings.
+  if (header[1] != "1" && header[1] != "2") {
     return Status::DataLoss("unsupported checkpoint version '" + header[1] +
                             "'");
   }
@@ -347,7 +349,7 @@ Result<CheckpointData> ParseCheckpoint(const std::string& content) {
     PROMISES_ASSIGN_OR_RETURN(entry.from, DecodeField(&cursor));
     PROMISES_ASSIGN_OR_RETURN(entry.message_id, DecodeU64(&cursor));
     PROMISES_ASSIGN_OR_RETURN(entry.lsn, DecodeU64(&cursor));
-    PROMISES_ASSIGN_OR_RETURN(entry.reply_xml, DecodeField(&cursor));
+    PROMISES_ASSIGN_OR_RETURN(entry.reply, DecodeField(&cursor));
     data.dedup.push_back(std::move(entry));
   }
 

@@ -53,7 +53,9 @@ struct CheckpointDedupEntry {
   std::string from;
   uint64_t message_id = 0;
   uint64_t lsn = 0;
-  std::string reply_xml;
+  /// The encoded reply envelope: binary from version-2 checkpoints,
+  /// XML from version 1. Restore decodes either (Envelope::Decode).
+  std::string reply;
 };
 
 /// A consistent cut of the manager's recoverable state at `cut_lsn`.

@@ -82,73 +82,160 @@ uint32_t FnvFold(uint32_t sum, std::string_view bytes) {
   return sum;
 }
 
-enum class ParseStatus { kOk, kBadRecord, kSequenceRegression };
+enum class ParseStatus { kOk, kTorn, kBadRecord, kSequenceRegression };
 
-// Parses one log line (either format) given the sequence of the
-// previous intact record.
-ParseStatus ParseLine(std::string_view line, uint64_t prev_sequence,
-                      LogRecord* out) {
-  bool v2 = line.rfind("v2|", 0) == 0;
-  if (v2) line.remove_prefix(3);
-  size_t fields = v2 ? 5 : 3;  // separators before the payload
-  size_t cuts[5];
-  size_t pos = 0;
-  for (size_t i = 0; i < fields; ++i) {
-    pos = line.find('|', pos);
-    if (pos == std::string_view::npos) return ParseStatus::kBadRecord;
-    cuts[i] = pos++;
-  }
-  auto field = [&](size_t i) {
-    size_t begin = i == 0 ? 0 : cuts[i - 1] + 1;
-    return line.substr(begin, cuts[i] - begin);
-  };
-  Result<int64_t> length = ParseInt64(field(0));
-  Result<int64_t> checksum = ParseInt64(field(1));
-  if (!length.ok() || !checksum.ok()) return ParseStatus::kBadRecord;
-  std::string_view payload = line.substr(cuts[fields - 1] + 1);
-  if (static_cast<int64_t>(payload.size()) != *length) {
+// Checks a record's checksum and sequence and fills *out. `v1` records
+// carry no sequence or promise id and checksum their payload alone.
+ParseStatus FinishRecord(bool v1, int64_t length, int64_t checksum,
+                         int64_t sequence, int64_t timestamp,
+                         int64_t promise_id, std::string_view payload,
+                         uint64_t prev_sequence, LogRecord* out) {
+  if (static_cast<int64_t>(payload.size()) != length) {
     return ParseStatus::kBadRecord;
   }
   std::string body(payload);
-  if (v2) {
-    Result<int64_t> sequence = ParseInt64(field(2));
-    Result<int64_t> timestamp = ParseInt64(field(3));
-    Result<int64_t> promise_id = ParseInt64(field(4));
-    if (!sequence.ok() || !timestamp.ok() || !promise_id.ok()) {
+  if (v1) {
+    if (OperationLog::Checksum(body) != static_cast<uint32_t>(checksum)) {
       return ParseStatus::kBadRecord;
     }
+    // v1 records predate explicit sequencing: number them by position
+    // from the scan's sequence base (0 for a whole log, the marker LSN
+    // for a compacted tail).
+    out->sequence = prev_sequence + 1;
+    out->timestamp = timestamp;
+    out->promise_id = 0;
+  } else {
     if (OperationLog::RecordChecksum(body.size(),
-                                     static_cast<uint64_t>(*sequence),
-                                     *timestamp,
-                                     static_cast<uint64_t>(*promise_id),
-                                     body) !=
-        static_cast<uint32_t>(*checksum)) {
+                                     static_cast<uint64_t>(sequence),
+                                     timestamp,
+                                     static_cast<uint64_t>(promise_id),
+                                     body) != static_cast<uint32_t>(checksum)) {
       return ParseStatus::kBadRecord;
     }
     // Sequence regression means the tail was written against a state
     // recovery cannot have reached; treat it as corruption.
-    if (static_cast<uint64_t>(*sequence) <= prev_sequence) {
+    if (static_cast<uint64_t>(sequence) <= prev_sequence) {
       return ParseStatus::kSequenceRegression;
     }
-    out->sequence = static_cast<uint64_t>(*sequence);
-    out->timestamp = *timestamp;
-    out->promise_id = static_cast<uint64_t>(*promise_id);
-  } else {
-    Result<int64_t> timestamp = ParseInt64(field(2));
-    if (!timestamp.ok()) return ParseStatus::kBadRecord;
-    if (OperationLog::Checksum(body) != static_cast<uint32_t>(*checksum)) {
-      return ParseStatus::kBadRecord;
-    }
-    // v1 records predate explicit sequencing: number them by position
-    // from the scan's sequence base (0 for a whole log, the marker
-    // LSN for a compacted tail).
-    out->sequence = prev_sequence + 1;
-    out->timestamp = *timestamp;
-    out->promise_id = 0;
+    out->sequence = static_cast<uint64_t>(sequence);
+    out->timestamp = timestamp;
+    out->promise_id = static_cast<uint64_t>(promise_id);
   }
   out->payload = std::move(body);
   return ParseStatus::kOk;
 }
+
+// Walks the records of a log image in file order. Every reader of the
+// format goes through it: the scan, its corruption probe and
+// compaction. v1 and v2 records are single lines. A v3 record is
+// framed by the length in its header, so its payload may hold any
+// byte; its '\n' terminator is checked, never searched for.
+class RecordCursor {
+ public:
+  RecordCursor(std::string_view contents, size_t offset,
+               uint64_t prev_sequence)
+      : contents_(contents), offset_(offset), prev_sequence_(prev_sequence) {}
+
+  size_t offset() const { return offset_; }
+  bool at_end() const { return offset_ >= contents_.size(); }
+
+  // Parses the record at offset(). kOk fills *out and steps past the
+  // record; any other status leaves the cursor where it was. kTorn
+  // means the bytes end inside the record.
+  ParseStatus Next(LogRecord* out) {
+    std::string_view rest = contents_.substr(offset_);
+    size_t end = 0;
+    ParseStatus st = rest.rfind("v3|", 0) == 0
+                         ? ParseFramed(rest, out, &end)
+                         : ParseLine(rest, out, &end);
+    if (st == ParseStatus::kOk) {
+      offset_ += end;
+      prev_sequence_ = out->sequence;
+    }
+    return st;
+  }
+
+  // Steps to just past the next '\n' beyond offset(). After a damaged
+  // record this is the only way to find a boundary; false at the end.
+  bool Resync() {
+    size_t nl = contents_.find('\n', offset_);
+    if (nl == std::string_view::npos) {
+      offset_ = contents_.size();
+      return false;
+    }
+    offset_ = nl + 1;
+    return true;
+  }
+
+ private:
+  // v3|<length>|<checksum>|<sequence>|<timestamp>|<promise-id>|<payload>\n
+  ParseStatus ParseFramed(std::string_view rest, LogRecord* out,
+                          size_t* end) const {
+    int64_t fields[5];
+    size_t pos = 3;
+    for (int64_t& field : fields) {
+      size_t begin = pos;
+      while (pos < rest.size() && rest[pos] != '|') {
+        char c = rest[pos];
+        if ((c < '0' || c > '9') && c != '-') return ParseStatus::kBadRecord;
+        ++pos;
+      }
+      if (pos == rest.size()) return ParseStatus::kTorn;
+      Result<int64_t> v = ParseInt64(rest.substr(begin, pos - begin));
+      if (!v.ok()) return ParseStatus::kBadRecord;
+      field = *v;
+      ++pos;
+    }
+    const int64_t length = fields[0];
+    if (length < 0) return ParseStatus::kBadRecord;
+    if (static_cast<uint64_t>(length) >= rest.size() - pos) {
+      return ParseStatus::kTorn;  // payload or terminator missing
+    }
+    size_t payload_end = pos + static_cast<size_t>(length);
+    if (rest[payload_end] != '\n') return ParseStatus::kBadRecord;
+    *end = payload_end + 1;
+    return FinishRecord(false, length, fields[1], fields[2], fields[3],
+                        fields[4], rest.substr(pos, payload_end - pos),
+                        prev_sequence_, out);
+  }
+
+  // v2|<length>|<checksum>|<sequence>|<timestamp>|<promise-id>|<payload>
+  // or v1 <length>|<checksum>|<timestamp>|<payload>, one line each.
+  ParseStatus ParseLine(std::string_view rest, LogRecord* out,
+                        size_t* end) const {
+    size_t eol = rest.find('\n');
+    if (eol == std::string_view::npos) return ParseStatus::kTorn;
+    *end = eol + 1;
+    std::string_view line = rest.substr(0, eol);
+    bool v2 = line.rfind("v2|", 0) == 0;
+    if (v2) line.remove_prefix(3);
+    size_t fields = v2 ? 5 : 3;  // separators before the payload
+    size_t cuts[5];
+    size_t pos = 0;
+    for (size_t i = 0; i < fields; ++i) {
+      pos = line.find('|', pos);
+      if (pos == std::string_view::npos) return ParseStatus::kBadRecord;
+      cuts[i] = pos++;
+    }
+    int64_t values[5] = {0, 0, 0, 0, 0};
+    for (size_t i = 0; i < fields; ++i) {
+      size_t begin = i == 0 ? 0 : cuts[i - 1] + 1;
+      Result<int64_t> v = ParseInt64(line.substr(begin, cuts[i] - begin));
+      if (!v.ok()) return ParseStatus::kBadRecord;
+      values[i] = *v;
+    }
+    std::string_view payload = line.substr(cuts[fields - 1] + 1);
+    return v2 ? FinishRecord(false, values[0], values[1], values[2],
+                             values[3], values[4], payload, prev_sequence_,
+                             out)
+              : FinishRecord(true, values[0], values[1], 0, values[2], 0,
+                             payload, prev_sequence_, out);
+  }
+
+  std::string_view contents_;
+  size_t offset_;
+  uint64_t prev_sequence_;
+};
 
 // Compaction marker checksum: FNV over the three numeric fields.
 uint32_t MarkerChecksum(uint64_t lsn, Timestamp timestamp,
@@ -246,68 +333,59 @@ LogScanStats ScanLog(const std::string& path,
   std::fclose(f);
   stats.total_bytes = contents.size();
 
-  size_t pos = 0;
-  bool at_offset_zero = true;
-  while (pos < contents.size()) {
-    size_t eol = contents.find('\n', pos);
-    if (eol == std::string::npos) {
-      stats.stop_reason = ScanStopReason::kTornTail;
-      break;
-    }
-    std::string_view line(contents.data() + pos, eol - pos);
-    if (at_offset_zero && line.rfind("trunc|", 0) == 0) {
-      uint64_t lsn = 0, watermark = 0;
-      Timestamp timestamp = 0;
-      if (!ParseMarker(line, &lsn, &timestamp, &watermark)) {
-        stats.stop_reason = ScanStopReason::kBadRecord;
-        break;
-      }
+  // A compaction marker is honored only at offset zero.
+  if (contents.rfind("trunc|", 0) == 0) {
+    size_t eol = contents.find('\n');
+    uint64_t lsn = 0, watermark = 0;
+    Timestamp timestamp = 0;
+    if (eol == std::string::npos ||
+        !ParseMarker(std::string_view(contents).substr(0, eol), &lsn,
+                     &timestamp, &watermark)) {
+      stats.stop_reason = eol == std::string::npos ? ScanStopReason::kTornTail
+                                                   : ScanStopReason::kBadRecord;
+    } else {
       stats.base_sequence = lsn;
       stats.last_sequence = lsn;
       stats.last_timestamp = timestamp;
       stats.max_promise_id = watermark;
-      at_offset_zero = false;
-      pos = eol + 1;
-      stats.valid_bytes = pos;
-      continue;
+      stats.valid_bytes = eol + 1;
     }
-    at_offset_zero = false;
+  }
+  RecordCursor cursor(contents, stats.valid_bytes, stats.last_sequence);
+  while (stats.stop_reason == ScanStopReason::kEndOfFile &&
+         !cursor.at_end()) {
     LogRecord record;
-    ParseStatus parsed = ParseLine(line, stats.last_sequence, &record);
+    ParseStatus parsed = cursor.Next(&record);
     if (parsed != ParseStatus::kOk) {
-      stats.stop_reason = parsed == ParseStatus::kSequenceRegression
-                              ? ScanStopReason::kSequenceRegression
-                              : ScanStopReason::kBadRecord;
+      stats.stop_reason =
+          parsed == ParseStatus::kTorn ? ScanStopReason::kTornTail
+          : parsed == ParseStatus::kSequenceRegression
+              ? ScanStopReason::kSequenceRegression
+              : ScanStopReason::kBadRecord;
       break;
     }
     stats.last_sequence = record.sequence;
     stats.last_timestamp = std::max(stats.last_timestamp, record.timestamp);
     stats.max_promise_id = std::max(stats.max_promise_id, record.promise_id);
     if (records != nullptr) records->push_back(std::move(record));
-    pos = eol + 1;
-    stats.valid_bytes = pos;
+    stats.valid_bytes = cursor.offset();
   }
   stats.discarded_bytes = stats.total_bytes - stats.valid_bytes;
 
   // Is the stop a torn tail or mid-log corruption? A record that
-  // regressed the sequence is itself intact evidence; after a bad
-  // record, look for any later checksum-valid line (sequence
-  // continuity deliberately ignored: intact bytes past the stop point
-  // are the signal, whatever their numbering).
+  // regressed the sequence is itself intact evidence. Otherwise look
+  // for any later checksum-valid record (sequence continuity
+  // deliberately ignored: intact bytes past the stop point are the
+  // signal, whatever their numbering). A v3 length damaged into
+  // running past the end reads as torn, so torn stops are probed too;
+  // a genuine torn tail has nothing intact beyond it.
   if (stats.stop_reason == ScanStopReason::kSequenceRegression) {
     stats.valid_beyond_stop = true;
-  } else if (stats.stop_reason == ScanStopReason::kBadRecord) {
-    size_t scan_pos = contents.find('\n', stats.valid_bytes);
-    while (scan_pos != std::string::npos && !stats.valid_beyond_stop) {
-      ++scan_pos;
-      size_t eol = contents.find('\n', scan_pos);
-      if (eol == std::string::npos) break;
-      std::string_view line(contents.data() + scan_pos, eol - scan_pos);
+  } else if (stats.stop_reason != ScanStopReason::kEndOfFile) {
+    RecordCursor probe(contents, stats.valid_bytes, 0);
+    while (!stats.valid_beyond_stop && probe.Resync()) {
       LogRecord ignored;
-      if (ParseLine(line, 0, &ignored) == ParseStatus::kOk) {
-        stats.valid_beyond_stop = true;
-      }
-      scan_pos = eol;
+      stats.valid_beyond_stop = probe.Next(&ignored) == ParseStatus::kOk;
     }
   }
 
@@ -337,7 +415,7 @@ Status OperationLog::Open(const std::string& path,
                           bool allow_mid_log_corruption) {
   Close();
   // Truncate any torn tail before appending: a record written after a
-  // partial line would be unreachable to recovery (the scan stops at
+  // partial record would be unreachable to recovery (the scan stops at
   // the tear), silently losing committed operations.
   LogScanStats scan = ScanLog(path, nullptr);
   if (scan.exists && scan.valid_beyond_stop && !allow_mid_log_corruption) {
@@ -488,12 +566,21 @@ std::string OperationLog::EncodeRecord(uint64_t sequence,
                                        Timestamp timestamp,
                                        uint64_t promise_id,
                                        const std::string& payload) {
-  return "v2|" + std::to_string(payload.size()) + "|" +
-         std::to_string(
-             RecordChecksum(payload.size(), sequence, timestamp, promise_id,
-                            payload)) +
-         "|" + std::to_string(sequence) + "|" + std::to_string(timestamp) +
-         "|" + std::to_string(promise_id) + "|" + payload + "\n";
+  std::string record = "v3|";
+  record.append(std::to_string(payload.size()))
+      .append("|")
+      .append(std::to_string(RecordChecksum(payload.size(), sequence,
+                                            timestamp, promise_id, payload)))
+      .append("|")
+      .append(std::to_string(sequence))
+      .append("|")
+      .append(std::to_string(timestamp))
+      .append("|")
+      .append(std::to_string(promise_id))
+      .append("|")
+      .append(payload)
+      .append("\n");
+  return record;
 }
 
 Status OperationLog::WriteBuffer(const std::string& buf,
@@ -578,9 +665,6 @@ Result<uint64_t> OperationLog::EnqueueLocked(
 
 Status OperationLog::Append(Timestamp timestamp,
                             const std::string& payload) {
-  if (payload.find('\n') != std::string::npos) {
-    return Status::InvalidArgument("log payload must be single-line");
-  }
   uint64_t sequence = 0;
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -602,9 +686,6 @@ Status OperationLog::Append(Timestamp timestamp,
 Result<uint64_t> OperationLog::AppendOperation(Clock* clock,
                                                const std::string& payload,
                                                uint64_t promise_id) {
-  if (payload.find('\n') != std::string::npos) {
-    return Status::InvalidArgument("log payload must be single-line");
-  }
   std::unique_lock<std::mutex> lock(mu_);
   if (file_ == nullptr) {
     return Status::FailedPrecondition("operation log is not open");
@@ -690,35 +771,30 @@ Status OperationLog::TruncateBefore(uint64_t lsn) {
   // everything it swallows (plus a previous marker's).
   uint64_t base = 0, watermark = 0;
   Timestamp base_ts = 0;
-  size_t pos = 0;
+  size_t start = 0;
   size_t eol = contents.find('\n');
-  if (eol != std::string::npos) {
-    std::string_view first(contents.data(), eol);
-    if (ParseMarker(first, &base, &base_ts, &watermark)) pos = eol + 1;
+  if (eol != std::string::npos &&
+      ParseMarker(std::string_view(contents).substr(0, eol), &base, &base_ts,
+                  &watermark)) {
+    start = eol + 1;
   }
   if (lsn <= base) return Status::OK();  // already compacted past lsn
-  uint64_t prev_sequence = base;
   Timestamp marker_ts = base_ts;
-  size_t tail_offset = contents.size();
-  while (pos < contents.size()) {
-    eol = contents.find('\n', pos);
-    if (eol == std::string::npos) {
+  size_t tail_offset = start;
+  RecordCursor cursor(contents, start, base);
+  while (!cursor.at_end()) {
+    LogRecord record;
+    ParseStatus parsed = cursor.Next(&record);
+    if (parsed == ParseStatus::kTorn) {
       return Status::Internal("open log has a torn tail during compaction");
     }
-    std::string_view line(contents.data() + pos, eol - pos);
-    LogRecord record;
-    if (ParseLine(line, prev_sequence, &record) != ParseStatus::kOk) {
+    if (parsed != ParseStatus::kOk) {
       return Status::Internal("open log has a bad record during compaction");
     }
-    if (record.sequence > lsn) {
-      tail_offset = pos;
-      break;
-    }
-    prev_sequence = record.sequence;
+    if (record.sequence > lsn) break;
     marker_ts = std::max(marker_ts, record.timestamp);
     watermark = std::max(watermark, record.promise_id);
-    pos = eol + 1;
-    tail_offset = pos;
+    tail_offset = cursor.offset();
   }
 
   const std::string tmp_path = path_ + ".compact.tmp";

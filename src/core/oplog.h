@@ -5,7 +5,7 @@
 // reproduction's in-memory substitute regains the D through logical
 // command logging: every state-changing client operation that the
 // promise manager commits is appended to the log as (sequence,
-// timestamp, promise id, envelope XML). Recovery replays the commands
+// timestamp, promise id, encoded envelope). Recovery replays the commands
 // in sequence order against a fresh world under a simulated clock
 // pinned to the logged timestamps, which reproduces grants, releases,
 // actions, atomic updates AND lazy expiry decisions deterministically
@@ -21,15 +21,21 @@
 // degrade to the synchronous per-record path, which stays the
 // drop-to-sync fallback when the writer fails.
 //
-// Record format (one line per record), current version:
+// Record format, current version (v3):
+//   v3|<length>|<checksum>|<sequence>|<timestamp>|<promise-id>|<payload>\n
+// The text header is followed by exactly <length> payload bytes and a
+// '\n' terminator. The record is framed by its length, not by the
+// newline, so a payload may hold any byte: the promise manager logs
+// binary envelopes (Envelope::Encode), and a string parameter with a
+// newline in it logs like any other. The checksum covers length,
+// sequence, timestamp, promise id AND payload. Older records are
+// version-sniffed and still read, each a single line:
 //   v2|<length>|<checksum>|<sequence>|<timestamp>|<promise-id>|<payload>
-// The checksum covers length, sequence, timestamp, promise id AND
-// payload (a corrupted header field fails verification, unlike v1
-// whose checksum covered the payload only). Lines without the "v2|"
-// prefix are parsed as the v1 format <length>|<checksum>|<timestamp>|
-// <payload>, so logs written before group commit still replay. Torn
-// tails (partial final line, checksum mismatch, sequence regression)
-// are truncated on open, mimicking WAL recovery semantics.
+//   <length>|<checksum>|<timestamp>|<payload>          (v1)
+// v1's checksum covers the payload only, and v1 records are numbered by
+// position. Torn tails (an incomplete final record, checksum mismatch,
+// sequence regression) are truncated on open, mimicking WAL recovery
+// semantics.
 //
 // Compaction: once a durable checkpoint covers the prefix up to LSN C,
 // TruncateBefore(C) atomically rewrites the file as
@@ -60,7 +66,10 @@ namespace promises {
 
 struct LogRecord {
   Timestamp timestamp = 0;
-  std::string payload;  ///< compact envelope XML
+  /// The logged operation: an encoded envelope (binary in v3 records,
+  /// XML in records written before it) or a text event such as
+  /// "damage|<class>|<qty>". Any bytes; the log never interprets them.
+  std::string payload;
   /// Log sequence number (1-based, strictly increasing). v1 records
   /// are numbered by file position during the scan.
   uint64_t sequence = 0;
@@ -73,8 +82,8 @@ struct LogRecord {
 };
 
 /// Why a log scan stopped where it did. Anything but kEndOfFile means
-/// bytes were discarded; kTornTail (a partial final line) is the only
-/// reason a clean crash can produce. A full line that fails checksum
+/// bytes were discarded; kTornTail (a partial final record) is the only
+/// reason a clean crash can produce. A full record that fails checksum
 /// or regresses the sequence is suspicious — mid-log corruption looks
 /// exactly like this — so recovery paths refuse such a scan when any
 /// checksum-valid record exists beyond the stop point, unless

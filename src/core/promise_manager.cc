@@ -1023,8 +1023,8 @@ Status PromiseManager::ReplayRecord(const std::string& payload,
                                     const Envelope* parsed) {
   // Outcomes replay deterministically; only errors are reported.
   if (parsed != nullptr) return Handle(*parsed).status();
-  if (StartsWith(payload, "<")) {
-    PROMISES_ASSIGN_OR_RETURN(Envelope env, Envelope::FromXml(payload));
+  if (Envelope::Sniff(payload)) {
+    PROMISES_ASSIGN_OR_RETURN(Envelope env, Envelope::Decode(payload));
     return Handle(env).status();
   }
   // External events: "damage|<cls>|<qty>" / "lose|<cls>|<id>".
@@ -1082,8 +1082,8 @@ Status PromiseManager::ReplayLogParallel(const std::vector<LogRecord>& records,
         Planned& p = planned[i];
         p.record = &records[i];
         const std::string& payload = records[i].payload;
-        if (StartsWith(payload, "<")) {
-          Result<Envelope> env = Envelope::FromXml(payload);
+        if (Envelope::Sniff(payload)) {
+          Result<Envelope> env = Envelope::Decode(payload);
           if (!env.ok()) {
             note_error(env.status());
             break;
@@ -1487,7 +1487,7 @@ Result<CheckpointData> PromiseManager::CaptureCheckpoint() {
         entry.from = key.first;
         entry.message_id = key.second;
         entry.lsn = it->second.lsn;
-        entry.reply_xml = it->second.reply.ToXml();
+        entry.reply = it->second.reply.Encode();
         data->dedup.push_back(std::move(entry));
       }
     }
@@ -1565,8 +1565,7 @@ Status PromiseManager::RestoreCheckpoint(const CheckpointData& data,
   if (config_.dedup_capacity > 0) {
     std::lock_guard<std::mutex> lk(dedup_mu_);
     for (const CheckpointDedupEntry& entry : data.dedup) {
-      PROMISES_ASSIGN_OR_RETURN(Envelope reply,
-                                Envelope::FromXml(entry.reply_xml));
+      PROMISES_ASSIGN_OR_RETURN(Envelope reply, Envelope::Decode(entry.reply));
       RememberReplyLocked({entry.from, entry.message_id}, reply, entry.lsn);
     }
   }
@@ -1898,7 +1897,7 @@ Result<Envelope> PromiseManager::HandleInner(const Envelope& request,
   PROMISES_RETURN_IF_ERROR(DrainPendingScoped(txn.get(), scope));
   LogTicket ticket;
   if (oplog_.load(std::memory_order_acquire) != nullptr) {
-    ticket = LogOperation(request.ToXml(), consumed_id);
+    ticket = LogOperation(request.Encode(), consumed_id);
   }
   bool dedup_inserted = false;
   if (dedup_key != nullptr && ticket.log != nullptr &&

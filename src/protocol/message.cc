@@ -1,5 +1,7 @@
 #include "protocol/message.h"
 
+#include <cstring>
+
 #include "common/string_util.h"
 #include "predicate/parser.h"
 #include "protocol/retry_policy.h"
@@ -57,6 +59,267 @@ Result<uint64_t> ReadIdAttr(const XmlElement& e, const std::string& attr) {
   PROMISES_ASSIGN_OR_RETURN(int64_t v, ParseInt64(e.Attr(attr)));
   if (v < 0) return Status::InvalidArgument("negative id");
   return static_cast<uint64_t>(v);
+}
+
+// --- Binary codec --------------------------------------------------------
+
+// Version byte of the binary codec; a later layout takes 0xB2. Never
+// '<' and never ASCII, so Sniff cannot confuse it with XML or with the
+// text payloads the operation log also carries.
+constexpr uint8_t kBinaryMagic = 0xB1;
+
+// Presence mask: one bit per optional part, written in this order.
+constexpr uint64_t kHasTrace = 1 << 0;
+constexpr uint64_t kHasPromiseRequest = 1 << 1;
+constexpr uint64_t kHasPromiseResponse = 1 << 2;
+constexpr uint64_t kHasEnvironment = 1 << 3;
+constexpr uint64_t kHasRelease = 1 << 4;
+constexpr uint64_t kHasPoll = 1 << 5;
+constexpr uint64_t kHasOverload = 1 << 6;
+constexpr uint64_t kHasRoute = 1 << 7;
+constexpr uint64_t kHasAction = 1 << 8;
+constexpr uint64_t kHasActionResult = 1 << 9;
+constexpr uint64_t kAllParts = (1 << 10) - 1;
+
+class BinaryWriter {
+ public:
+  explicit BinaryWriter(std::string* out) : out_(out) {}
+
+  void Byte(uint8_t b) { out_->push_back(static_cast<char>(b)); }
+  void U64(uint64_t v) {
+    while (v >= 0x80) {
+      Byte(static_cast<uint8_t>(v) | 0x80);
+      v >>= 7;
+    }
+    Byte(static_cast<uint8_t>(v));
+  }
+  void S64(int64_t v) {
+    U64((static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63));
+  }
+  void Fixed64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  void Bool(bool b) { Byte(b ? 1 : 0); }
+  void Str(std::string_view s) {
+    U64(s.size());
+    out_->append(s);
+  }
+  void Val(const Value& v) {
+    Byte(static_cast<uint8_t>(v.type()));
+    switch (v.type()) {
+      case ValueType::kBool: Bool(v.as_bool()); break;
+      case ValueType::kInt: S64(v.as_int()); break;
+      case ValueType::kDouble: {
+        double d = v.as_double();
+        uint64_t bits;
+        std::memcpy(&bits, &d, sizeof(bits));
+        Fixed64(bits);
+        break;
+      }
+      case ValueType::kString: Str(v.as_string()); break;
+    }
+  }
+  void Params(const std::map<std::string, Value>& params) {
+    U64(params.size());
+    for (const auto& [name, value] : params) {
+      Str(name);
+      Val(value);
+    }
+  }
+
+ private:
+  std::string* out_;
+};
+
+// Sticky-error reader: the first malformed or truncated field records
+// an error and every later read returns a zero value, so decoding code
+// reads straight through and checks once. Loops over a decoded count
+// must test ok() per element: a garbage count ends at the first
+// failed read rather than allocating.
+class BinaryReader {
+ public:
+  explicit BinaryReader(std::string_view in) : in_(in) {}
+
+  bool ok() const { return error_.empty(); }
+  bool done() const { return in_.empty(); }
+  const std::string& error() const { return error_; }
+  void Fail(std::string what) {
+    if (error_.empty()) error_ = std::move(what);
+    in_ = {};
+  }
+
+  uint8_t Byte() {
+    if (in_.empty()) {
+      Fail("truncated");
+      return 0;
+    }
+    uint8_t b = static_cast<uint8_t>(in_.front());
+    in_.remove_prefix(1);
+    return b;
+  }
+  uint64_t U64() {
+    uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      uint8_t b = Byte();
+      v |= static_cast<uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) return v;
+    }
+    Fail("varint longer than 10 bytes");
+    return 0;
+  }
+  int64_t S64() {
+    uint64_t z = U64();
+    return static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
+  }
+  uint64_t Fixed64() {
+    uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(Byte()) << (8 * i);
+    return v;
+  }
+  bool Bool() {
+    uint8_t b = Byte();
+    if (b > 1) Fail("bad bool byte");
+    return b == 1;
+  }
+  std::string Str() {
+    uint64_t n = U64();
+    if (n > in_.size()) {
+      Fail("truncated string");
+      return {};
+    }
+    std::string s(in_.substr(0, n));
+    in_.remove_prefix(n);
+    return s;
+  }
+  Value Val() {
+    switch (Byte()) {
+      case static_cast<uint8_t>(ValueType::kBool): return Value(Bool());
+      case static_cast<uint8_t>(ValueType::kInt): return Value(S64());
+      case static_cast<uint8_t>(ValueType::kDouble): {
+        uint64_t bits = Fixed64();
+        double d;
+        std::memcpy(&d, &bits, sizeof(d));
+        return Value(d);
+      }
+      case static_cast<uint8_t>(ValueType::kString): return Value(Str());
+      default:
+        Fail("unknown value type");
+        return Value();
+    }
+  }
+  std::map<std::string, Value> Params() {
+    std::map<std::string, Value> out;
+    uint64_t n = U64();
+    for (uint64_t i = 0; i < n && ok(); ++i) {
+      std::string name = Str();
+      // Same rule as the XML reader: a param must be named.
+      if (ok() && name.empty()) Fail("param without a name");
+      out[std::move(name)] = Val();
+    }
+    return out;
+  }
+
+ private:
+  std::string_view in_;
+  std::string error_;
+};
+
+Result<Envelope> DecodeBinary(std::string_view bytes) {
+  BinaryReader r(bytes);
+  r.Byte();  // version, checked by the caller
+  Envelope env;
+  env.message_id = MessageId(r.U64());
+  env.from = r.Str();
+  env.to = r.Str();
+  env.deadline = r.S64();
+  uint64_t mask = r.U64();
+  if (r.ok() && (mask & ~kAllParts) != 0) {
+    r.Fail("unknown part bits");
+  }
+  if (mask & kHasTrace) {
+    TraceContext& t = env.trace.emplace();
+    t.trace_hi = r.Fixed64();
+    t.trace_lo = r.Fixed64();
+    t.span_id = r.Fixed64();
+    t.parent_span_id = r.Fixed64();
+    t.sampled = r.Bool();
+  }
+  if (mask & kHasPromiseRequest) {
+    PromiseRequestHeader& h = env.promise_request.emplace();
+    h.request_id = RequestId(r.U64());
+    h.duration_ms = r.S64();
+    h.queue_if_unavailable = r.Bool();
+    uint64_t n = r.U64();
+    for (uint64_t i = 0; i < n && r.ok(); ++i) {
+      std::string text = r.Str();
+      if (!r.ok()) break;
+      PROMISES_ASSIGN_OR_RETURN(Predicate p, ParsePredicate(text));
+      h.predicates.push_back(std::move(p));
+    }
+    n = r.U64();
+    for (uint64_t i = 0; i < n && r.ok(); ++i) {
+      h.release_on_grant.push_back(PromiseId(r.U64()));
+    }
+  }
+  if (mask & kHasPromiseResponse) {
+    PromiseResponseHeader& h = env.promise_response.emplace();
+    h.promise_id = PromiseId(r.U64());
+    uint8_t result = r.Byte();
+    if (result > static_cast<uint8_t>(PromiseResultCode::kPending)) {
+      r.Fail("bad promise-response result");
+    }
+    h.result = static_cast<PromiseResultCode>(result);
+    h.granted_duration_ms = r.S64();
+    h.correlation = RequestId(r.U64());
+    h.reason = r.Str();
+    h.pending_ticket = r.U64();
+    h.counter_offer = r.Str();
+  }
+  if (mask & kHasEnvironment) {
+    EnvironmentHeader& h = env.environment.emplace();
+    uint64_t n = r.U64();
+    for (uint64_t i = 0; i < n && r.ok(); ++i) {
+      PromiseId promise(r.U64());
+      h.entries.push_back({promise, r.Bool()});
+    }
+  }
+  if (mask & kHasRelease) {
+    ReleaseHeader& h = env.release.emplace();
+    uint64_t n = r.U64();
+    for (uint64_t i = 0; i < n && r.ok(); ++i) {
+      h.promises.push_back(PromiseId(r.U64()));
+    }
+  }
+  if (mask & kHasPoll) env.poll.emplace().ticket = r.U64();
+  if (mask & kHasOverload) {
+    OverloadHeader& h = env.overload.emplace();
+    h.reason = r.Str();
+    h.retry_after_ms = r.S64();
+  }
+  if (mask & kHasRoute) {
+    RouteHeader& h = env.route.emplace();
+    int64_t shard = r.S64();
+    if (shard < INT32_MIN || shard > INT32_MAX) r.Fail("route shard range");
+    h.shard = static_cast<int32_t>(shard);
+    h.topology_version = r.U64();
+  }
+  if (mask & kHasAction) {
+    ActionBody& h = env.action.emplace();
+    h.service = r.Str();
+    h.operation = r.Str();
+    h.params = r.Params();
+  }
+  if (mask & kHasActionResult) {
+    ActionResultBody& h = env.action_result.emplace();
+    h.ok = r.Bool();
+    h.error = r.Str();
+    h.outputs = r.Params();
+  }
+  if (r.ok() && !r.done()) r.Fail("trailing bytes");
+  if (!r.ok()) {
+    return Status::InvalidArgument("malformed binary envelope: " + r.error());
+  }
+  return env;
 }
 
 }  // namespace
@@ -319,6 +582,97 @@ Result<Envelope> Envelope::FromXml(std::string_view xml) {
     }
   }
   return env;
+}
+
+std::string Envelope::Encode(EnvelopeEncoding encoding) const {
+  if (encoding == EnvelopeEncoding::kXml) return ToXml();
+  std::string out;
+  out.reserve(128);
+  BinaryWriter w(&out);
+  w.Byte(kBinaryMagic);
+  w.U64(message_id.value());
+  w.Str(from);
+  w.Str(to);
+  w.S64(deadline);
+  uint64_t mask = (trace ? kHasTrace : 0) |
+                  (promise_request ? kHasPromiseRequest : 0) |
+                  (promise_response ? kHasPromiseResponse : 0) |
+                  (environment ? kHasEnvironment : 0) |
+                  (release ? kHasRelease : 0) | (poll ? kHasPoll : 0) |
+                  (overload ? kHasOverload : 0) | (route ? kHasRoute : 0) |
+                  (action ? kHasAction : 0) |
+                  (action_result ? kHasActionResult : 0);
+  w.U64(mask);
+  if (trace) {
+    w.Fixed64(trace->trace_hi);
+    w.Fixed64(trace->trace_lo);
+    w.Fixed64(trace->span_id);
+    w.Fixed64(trace->parent_span_id);
+    w.Bool(trace->sampled);
+  }
+  if (promise_request) {
+    w.U64(promise_request->request_id.value());
+    w.S64(promise_request->duration_ms);
+    w.Bool(promise_request->queue_if_unavailable);
+    w.U64(promise_request->predicates.size());
+    for (const Predicate& p : promise_request->predicates) w.Str(p.ToString());
+    w.U64(promise_request->release_on_grant.size());
+    for (PromiseId id : promise_request->release_on_grant) w.U64(id.value());
+  }
+  if (promise_response) {
+    w.U64(promise_response->promise_id.value());
+    w.Byte(static_cast<uint8_t>(promise_response->result));
+    w.S64(promise_response->granted_duration_ms);
+    w.U64(promise_response->correlation.value());
+    w.Str(promise_response->reason);
+    w.U64(promise_response->pending_ticket);
+    w.Str(promise_response->counter_offer);
+  }
+  if (environment) {
+    w.U64(environment->entries.size());
+    for (const EnvironmentHeader::Entry& e : environment->entries) {
+      w.U64(e.promise.value());
+      w.Bool(e.release_after);
+    }
+  }
+  if (release) {
+    w.U64(release->promises.size());
+    for (PromiseId id : release->promises) w.U64(id.value());
+  }
+  if (poll) w.U64(poll->ticket);
+  if (overload) {
+    w.Str(overload->reason);
+    w.S64(overload->retry_after_ms);
+  }
+  if (route) {
+    w.S64(route->shard);
+    w.U64(route->topology_version);
+  }
+  if (action) {
+    w.Str(action->service);
+    w.Str(action->operation);
+    w.Params(action->params);
+  }
+  if (action_result) {
+    w.Bool(action_result->ok);
+    w.Str(action_result->error);
+    w.Params(action_result->outputs);
+  }
+  return out;
+}
+
+std::optional<EnvelopeEncoding> Envelope::Sniff(std::string_view bytes) {
+  if (bytes.empty()) return std::nullopt;
+  if (bytes.front() == '<') return EnvelopeEncoding::kXml;
+  if (static_cast<uint8_t>(bytes.front()) == kBinaryMagic) {
+    return EnvelopeEncoding::kBinary;
+  }
+  return std::nullopt;
+}
+
+Result<Envelope> Envelope::Decode(std::string_view bytes) {
+  if (Sniff(bytes) == EnvelopeEncoding::kBinary) return DecodeBinary(bytes);
+  return FromXml(bytes);
 }
 
 }  // namespace promises

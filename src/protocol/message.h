@@ -7,6 +7,14 @@
 // request form an atomic unit" (§2). A message may carry any subset of
 // these parts, related or unrelated (§6), including piggybacked
 // responses.
+//
+// Two encodings carry an Envelope. The SOAP-style XML document
+// (ToXml/FromXml) is the §6 edge rendering: what E9 measures and what a
+// raw XML client speaks. Every internal hop (operation-log records,
+// checkpoint dedup replies, the in-process transport, TCP frames
+// between this library's own client and server) uses the compact
+// binary codec (Encode). Decode sniffs the first byte, so one decoder
+// reads both.
 
 #ifndef PROMISES_PROTOCOL_MESSAGE_H_
 #define PROMISES_PROTOCOL_MESSAGE_H_
@@ -121,6 +129,9 @@ struct ActionResultBody {
   std::map<std::string, Value> outputs;
 };
 
+/// The two renderings of an Envelope (see the file comment).
+enum class EnvelopeEncoding { kXml, kBinary };
+
 /// One transport message: any subset of headers plus at most one body
 /// part in each direction.
 struct Envelope {
@@ -166,6 +177,26 @@ struct Envelope {
   /// Parses a document produced by ToXml (predicates are re-parsed from
   /// their textual form).
   static Result<Envelope> FromXml(std::string_view xml);
+
+  /// Renders the envelope in `encoding`. The binary codec is versioned
+  /// and self-delimiting: a leading version byte that is never '<' or
+  /// ASCII, LEB128 varints (zigzag for signed fields), length-prefixed
+  /// strings, a presence mask for the optional parts, type-tagged
+  /// values with doubles stored as their exact bits, and predicates as
+  /// their canonical ToString() text. Every field is carried, trace
+  /// included.
+  std::string Encode(EnvelopeEncoding encoding = EnvelopeEncoding::kBinary)
+      const;
+
+  /// Which encoding `bytes` holds: '<' is XML, the binary version byte
+  /// is binary; nullopt for anything else (e.g. a non-envelope log
+  /// payload).
+  static std::optional<EnvelopeEncoding> Sniff(std::string_view bytes);
+
+  /// The one decoder for both encodings: binary when the first byte is
+  /// the codec's version byte, FromXml otherwise. Malformed input of
+  /// either kind is an error, never a crash.
+  static Result<Envelope> Decode(std::string_view bytes);
 };
 
 }  // namespace promises

@@ -121,14 +121,16 @@ Envelope FailureReply(const std::string& to, const std::string& error) {
 }  // namespace
 
 Status WriteFrame(int fd, const std::string& payload) {
-  char header[8];
+  // One buffer, one send: with TCP_NODELAY a separate header write
+  // would leave as its own segment and wake the peer's reader twice.
+  std::string frame(8, '\0');
   uint64_t len = payload.size();
   for (int i = 7; i >= 0; --i) {
-    header[i] = static_cast<char>(len & 0xff);
+    frame[i] = static_cast<char>(len & 0xff);
     len >>= 8;
   }
-  PROMISES_RETURN_IF_ERROR(WriteAll(fd, header, sizeof(header)));
-  return WriteAll(fd, payload.data(), payload.size());
+  frame += payload;
+  return WriteAll(fd, frame.data(), frame.size());
 }
 
 Result<std::string> ReadFrame(int fd, int64_t timeout_ms) {
@@ -339,8 +341,12 @@ void TcpEndpointServer::AcceptLoop() {
 void TcpEndpointServer::ServeConnection(std::shared_ptr<Connection> conn,
                                         uint64_t id) {
   while (!stopping_) {
-    Result<std::string> request_xml = ReadFrame(conn->fd);
-    if (!request_xml.ok()) break;  // peer closed or died
+    Result<std::string> frame = ReadFrame(conn->fd);
+    if (!frame.ok()) break;  // peer closed or died
+    // Reply in the request's encoding: binary to this library's
+    // clients, XML to anything else (the SOAP edge).
+    const EnvelopeEncoding encoding =
+        Envelope::Sniff(*frame).value_or(EnvelopeEncoding::kXml);
 
     // The injector rules on each inbound frame. Faults here behave
     // like a real lossy middlebox: the client only ever observes a
@@ -375,13 +381,15 @@ void TcpEndpointServer::ServeConnection(std::shared_ptr<Connection> conn,
       }
     }
 
-    Result<Envelope> request = Envelope::FromXml(*request_xml);
+    Result<Envelope> request = Envelope::Decode(*frame);
     if (!request.ok()) {
       // Malformed request: answer with a failure result envelope.
       requests_.fetch_add(1, std::memory_order_relaxed);
       if (send_reply) {
-        SendReply(*conn, FailureReply("", "malformed envelope: " +
-                                              request.status().ToString()));
+        SendReply(*conn,
+                  FailureReply("", "malformed envelope: " +
+                                       request.status().ToString()),
+                  encoding);
       }
       continue;
     }
@@ -395,7 +403,8 @@ void TcpEndpointServer::ServeConnection(std::shared_ptr<Connection> conn,
                   OverloadReply(*request,
                                 OverloadHeader{
                                     "draining",
-                                    options_.admission.retry_after_hint_ms}));
+                                    options_.admission.retry_after_hint_ms}),
+                  encoding);
       }
       continue;
     }
@@ -421,14 +430,15 @@ void TcpEndpointServer::ServeConnection(std::shared_ptr<Connection> conn,
     }
     if (!decision.admitted()) {
       if (send_reply) {
-        SendReply(*conn, OverloadReply(*request, decision.ToHeader()));
+        SendReply(*conn, OverloadReply(*request, decision.ToHeader()),
+                  encoding);
       }
       continue;
     }
 
     {
       std::lock_guard<std::mutex> lk(queue_mu_);
-      queue_.push_back(Work{conn, *std::move(request), send_reply,
+      queue_.push_back(Work{conn, *std::move(request), encoding, send_reply,
                             deliveries, traced ? TraceNowUs() : 0});
     }
     queue_cv_.notify_one();
@@ -490,7 +500,8 @@ void TcpEndpointServer::ProcessWork(Work& work) {
     admission_->NoteDeadlineShed();
     if (work.send_reply) {
       SendReply(*work.conn,
-                OverloadReply(work.request, OverloadHeader{"deadline", 0}));
+                OverloadReply(work.request, OverloadHeader{"deadline", 0}),
+                work.encoding);
     }
     return;
   }
@@ -525,22 +536,25 @@ void TcpEndpointServer::ProcessWork(Work& work) {
       // the exactly-once audit flags as over-consumption.
       SendReply(*work.conn,
                 OverloadReply(work.request,
-                              OverloadHeader{reply.status().ToString(), 0}));
+                              OverloadHeader{reply.status().ToString(), 0}),
+                work.encoding);
     } else {
       SendReply(*work.conn,
-                FailureReply(work.request.from, reply.status().ToString()));
+                FailureReply(work.request.from, reply.status().ToString()),
+                work.encoding);
     }
   } else {
-    SendReply(*work.conn, *reply);
+    SendReply(*work.conn, *reply, work.encoding);
   }
 }
 
-void TcpEndpointServer::SendReply(Connection& conn, const Envelope& reply) {
-  std::string xml = reply.ToXml();
+void TcpEndpointServer::SendReply(Connection& conn, const Envelope& reply,
+                                  EnvelopeEncoding encoding) {
+  std::string bytes = reply.Encode(encoding);
   std::lock_guard<std::mutex> lk(conn.write_mu);
   // A failed write means the peer is gone; the reader on this
   // connection sees the same condition and winds it down.
-  (void)WriteFrame(conn.fd, xml);
+  (void)WriteFrame(conn.fd, bytes);
 }
 
 TcpClientChannel::~TcpClientChannel() { Disconnect(); }
@@ -659,20 +673,20 @@ Result<Envelope> TcpClientChannel::Call(const Envelope& request) {
     PROMISES_RETURN_IF_ERROR(Connect(last_port_));
     ++reconnects_;
   }
-  Status write_st = WriteFrame(fd_, request.ToXml());
+  Status write_st = WriteFrame(fd_, request.Encode());
   if (!write_st.ok()) {
     Disconnect();
     return write_st;
   }
-  Result<std::string> reply_xml = ReadFrame(fd_, call_timeout_ms_);
-  if (!reply_xml.ok()) {
+  Result<std::string> reply_bytes = ReadFrame(fd_, call_timeout_ms_);
+  if (!reply_bytes.ok()) {
     // A timed-out or failed read poisons the stream: the reply to this
     // request may still arrive and would corrupt the next call's
     // framing. Drop the connection; the next Call reconnects.
     Disconnect();
-    return reply_xml.status();
+    return reply_bytes.status();
   }
-  Result<Envelope> reply = Envelope::FromXml(*reply_xml);
+  Result<Envelope> reply = Envelope::Decode(*reply_bytes);
   if (!reply.ok()) return reply;
   Status shed = reply->ShedStatus();
   if (!shed.ok()) return shed;  // surfaced as a status, not an envelope

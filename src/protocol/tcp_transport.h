@@ -2,7 +2,7 @@
 //
 // The in-process Transport substitutes the paper's web-service
 // middleware for most experiments; this module closes the remaining
-// gap by carrying the same XML envelopes over loopback TCP with a
+// gap by carrying the same envelopes over loopback TCP with a
 // length-prefixed framing, so the protocol stack is exercised against
 // an actual wire (serialization, framing, partial reads, connection
 // errors, stalled peers).
@@ -10,7 +10,11 @@
 // Model: one TcpEndpointServer hosts a handler (typically a
 // PromiseManager's Handle, bridged through the in-process transport);
 // TcpClientChannel issues synchronous request/response calls. Frames
-// are "<8-byte big-endian length><xml bytes>".
+// are "<8-byte big-endian length><envelope bytes>". TcpClientChannel
+// sends the binary codec (Envelope::Encode). The server sniffs every
+// frame and answers in the encoding the request came in, so a raw XML
+// (SOAP-style) client is served in XML on the same port, with no
+// negotiation.
 //
 // Threading/overload model: the accept loop hands each connection to a
 // lightweight reader thread that only parses frames and rules on
@@ -169,6 +173,8 @@ class TcpEndpointServer {
   struct Work {
     std::shared_ptr<Connection> conn;
     Envelope request;
+    /// The request frame's encoding; the reply is written in it.
+    EnvelopeEncoding encoding = EnvelopeEncoding::kBinary;
     bool send_reply = true;  ///< false when the injector drops the reply.
     int deliveries = 1;      ///< 2 when the injector duplicates.
     /// Enqueue timestamp (TraceNowUs) for the cross-thread queue-wait
@@ -185,9 +191,11 @@ class TcpEndpointServer {
   /// Shared teardown behind Stop/StopGraceful; `drain_ms` > 0 inserts
   /// the drain phase. Returns false when the drain deadline lapsed.
   bool StopInternal(DurationMs drain_ms);
-  /// Writes `reply` to `conn` under its write mutex (errors ignored:
-  /// the reader observes the dead socket and winds the connection down).
-  static void SendReply(Connection& conn, const Envelope& reply);
+  /// Writes `reply` in `encoding` to `conn` under its write mutex
+  /// (errors ignored: the reader observes the dead socket and winds the
+  /// connection down).
+  static void SendReply(Connection& conn, const Envelope& reply,
+                        EnvelopeEncoding encoding);
   /// Joins reader threads that have announced completion. Requires
   /// conns_mu_.
   void ReapFinishedLocked();
@@ -305,9 +313,10 @@ class TcpClientChannel {
   uint64_t dial_attempts_ = 0;
 };
 
-/// Frame helpers (exposed for tests). `timeout_ms` <= 0 blocks
-/// indefinitely; otherwise reads are poll-bounded and return
-/// kDeadlineExceeded when the budget lapses.
+/// Frame helpers (exposed for tests). WriteFrame sends header and
+/// payload with one syscall. `timeout_ms` <= 0 blocks indefinitely;
+/// otherwise reads are poll-bounded and return kDeadlineExceeded when
+/// the budget lapses.
 Status WriteFrame(int fd, const std::string& payload);
 Result<std::string> ReadFrame(int fd, int64_t timeout_ms = 0);
 

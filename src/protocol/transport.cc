@@ -164,13 +164,13 @@ Result<Envelope> Transport::Send(const Envelope& request) {
   uint64_t hop_bytes = 0;
   auto deliver_once = [&]() -> Result<Envelope> {
     if (!encode_on_wire_) return handler(request);
-    std::string wire = request.ToXml();
+    std::string wire = request.Encode();
     hop_bytes += wire.size();
-    PROMISES_ASSIGN_OR_RETURN(Envelope decoded, Envelope::FromXml(wire));
+    PROMISES_ASSIGN_OR_RETURN(Envelope decoded, Envelope::Decode(wire));
     PROMISES_ASSIGN_OR_RETURN(Envelope response, handler(decoded));
-    std::string reply_wire = response.ToXml();
+    std::string reply_wire = response.Encode();
     hop_bytes += reply_wire.size();
-    return Envelope::FromXml(reply_wire);
+    return Envelope::Decode(reply_wire);
   };
 
   // A duplicated delivery hands the identical envelope to the handler

@@ -2,8 +2,8 @@
 //
 // Substitution (see DESIGN.md): the paper's prototype exchanged SOAP
 // messages over web-service middleware; here endpoints live in one
-// process and exchange the same XML envelopes synchronously. Optional
-// per-hop latency injection and full serialize/parse on every hop keep
+// process and exchange the same envelopes synchronously. Optional
+// per-hop latency injection and full encode/decode on every hop keep
 // the protocol path realistic for the E9 experiment, and an optional
 // FaultInjector turns the perfect bus into a lossy one (dropped
 // requests/replies, duplicate deliveries, delay spikes, endpoint
@@ -53,10 +53,10 @@ class Transport {
  public:
   Transport() = default;
 
-  /// When true (default), every Send serializes the envelope to XML and
-  /// the receiving side parses it back — exercising the real protocol
-  /// encoding. When false, envelopes are passed by reference (used to
-  /// isolate encoding cost in E9).
+  /// When true (default), every Send encodes the envelope with the
+  /// binary codec (Envelope::Encode) and the receiving side decodes it
+  /// back — the same bytes a TCP hop carries. When false, envelopes are
+  /// passed by reference (used to isolate encoding cost in E9).
   void set_encode_on_wire(bool v) { encode_on_wire_ = v; }
 
   /// Artificial one-way latency added to each hop, in microseconds of

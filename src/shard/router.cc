@@ -193,19 +193,36 @@ FederatedGrantCoordinator::BuildAgent(uint64_t activity, int shard) {
       popts);
 }
 
-Result<ParticipantId> FederatedGrantCoordinator::MakeAgentLocked(
+Result<ParticipantId> FederatedGrantCoordinator::MakeAgent(
     ActivityId activity, int shard) {
-  World& world = worlds_[activity.value()];
-  auto existing = world.enlistments.find(shard);
-  if (existing != world.enlistments.end()) return existing->second;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    World& world = worlds_[activity.value()];
+    auto existing = world.enlistments.find(shard);
+    if (existing != world.enlistments.end()) return existing->second;
+  }
+  // Build, register and enlist with mu_ released: the WS-BA side runs
+  // our compensation callbacks under its own locks, and they take mu_
+  // (ReleaseShardGrants), so holding mu_ across these calls would
+  // close a lock-order cycle.
   std::unique_ptr<BusinessActivityParticipant> agent =
       BuildAgent(activity.value(), shard);
   PROMISES_ASSIGN_OR_RETURN(ParticipantId pid,
                             coordinator_.Register(activity, agent->endpoint()));
   agent->Enlist(coordinator_.endpoint(), activity, pid);
-  world.enlistments[shard] = pid;
-  world.agents[shard] = std::move(agent);
-  return pid;
+  std::lock_guard<std::mutex> lock(mu_);
+  World& world = worlds_[activity.value()];
+  auto [it, fresh] = world.enlistments.emplace(shard, pid);
+  if (fresh) {
+    world.agents[shard] = std::move(agent);
+  } else {
+    // A racing enlister got there first. Register is idempotent per
+    // endpoint, so both agents hold the same participant id; keep ours
+    // alive with the world, since destroying it would unregister the
+    // endpoint the two share.
+    world.spare_agents.push_back(std::move(agent));
+  }
+  return it->second;
 }
 
 void FederatedGrantCoordinator::NoteResolved(ActivityId activity) {
@@ -266,10 +283,7 @@ Result<RoutedGrant> FederatedGrantCoordinator::Grant(
                                       " out of topology range");
       break;
     }
-    Result<ParticipantId> pid = [&]() -> Result<ParticipantId> {
-      std::lock_guard<std::mutex> lock(mu_);
-      return MakeAgentLocked(activity, shard);
-    }();
+    Result<ParticipantId> pid = MakeAgent(activity, shard);
     if (!pid.ok()) {
       infra = pid.status();
       break;

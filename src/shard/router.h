@@ -198,6 +198,8 @@ class FederatedGrantCoordinator {
     std::map<int, std::unique_ptr<BusinessActivityParticipant>> agents;
     std::map<int, std::vector<PromiseId>> grants;
     std::map<int, ParticipantId> enlistments;
+    /// Agents that lost an enlistment race (see MakeAgent).
+    std::vector<std::unique_ptr<BusinessActivityParticipant>> spare_agents;
   };
 
   std::string AgentEndpoint(uint64_t activity, int shard) const;
@@ -205,8 +207,10 @@ class FederatedGrantCoordinator {
   /// (activity, shard) — recovery restores its state separately.
   std::unique_ptr<BusinessActivityParticipant> BuildAgent(uint64_t activity,
                                                           int shard);
-  /// Creates + enlists the agent for (activity, shard). mu_ held.
-  Result<ParticipantId> MakeAgentLocked(ActivityId activity, int shard);
+  /// Creates + enlists the agent for (activity, shard), or returns the
+  /// existing enlistment. Takes mu_ itself and never holds it across
+  /// the WS-BA calls (DESIGN.md §5).
+  Result<ParticipantId> MakeAgent(ActivityId activity, int shard);
   /// Releases every journaled sub-grant of (activity, shard) on the
   /// shard — the compensation/cancel callback. Idempotent: the
   /// manager skips unknown or already-released ids.

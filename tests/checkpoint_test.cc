@@ -97,7 +97,7 @@ CheckpointData SampleCheckpoint() {
   entry.from = "alice";
   entry.message_id = 7;
   entry.lsn = 40;
-  entry.reply_xml = "<envelope/>";
+  entry.reply = "<envelope/>";
   data.dedup.push_back(entry);
   return data;
 }
@@ -146,7 +146,8 @@ TEST(CheckpointFormatTest, DamageIsDetected) {
   EXPECT_TRUE(ParseCheckpoint("not a checkpoint").status().IsDataLoss());
   EXPECT_TRUE(ParseCheckpoint("junk|1|0|0\n").status().IsDataLoss());
   std::string v9 = good;
-  v9.replace(v9.find("|1|"), 3, "|9|");
+  ASSERT_EQ(v9.rfind("pmckpt|2|", 0), 0u);
+  v9.replace(0, 9, "pmckpt|9|");
   EXPECT_TRUE(ParseCheckpoint(v9).status().IsDataLoss());
 }
 
@@ -859,6 +860,61 @@ TEST(CheckpointTest, DedupRepliesSurviveSnapshotRecovery) {
   auto retry = recovered.pm->Handle(env);
   ASSERT_TRUE(retry.ok());
   EXPECT_EQ(retry->ToXml(), original_reply.ToXml());
+  EXPECT_EQ(recovered.pm->active_promises(), 1u);
+}
+
+TEST(CheckpointTest, Version1CheckpointWithXmlDedupRepliesRestores) {
+  // Checkpoints written before the binary codec are version 1 and hold
+  // their cached replies as XML. Rewrite a fresh checkpoint into that
+  // form and require the same recovery, cached reply included.
+  TempFile log_file("dedup_v1");
+  TempFile ckpt_file("dedup_v1_ckpt");
+  Envelope env;
+  env.message_id = MessageId(78);
+  env.from = "survivor";
+  env.to = "recoverable";
+  PromiseRequestHeader req;
+  req.request_id = RequestId(6);
+  req.predicates.push_back(Predicate::Quantity("stock", CompareOp::kGe, 10));
+  env.promise_request = std::move(req);
+
+  Envelope original_reply;
+  {
+    WorldParts original;
+    OperationLog log;
+    ASSERT_TRUE(log.Open(log_file.path()).ok());
+    ASSERT_TRUE(original.pm->AttachLog(&log).ok());
+    auto first = original.pm->Handle(env);
+    ASSERT_TRUE(first.ok());
+    original_reply = *first;
+    CheckpointWriter writer(original.pm.get(), &log, ckpt_file.path());
+    ASSERT_TRUE(writer.RunOnce().ok());
+    log.Close();
+  }
+  auto current = LoadCheckpointFile(ckpt_file.path());
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  ASSERT_EQ(current->dedup.size(), 1u);
+  for (CheckpointDedupEntry& entry : current->dedup) {
+    ASSERT_EQ(Envelope::Sniff(entry.reply), EnvelopeEncoding::kBinary);
+    auto reply = Envelope::Decode(entry.reply);
+    ASSERT_TRUE(reply.ok());
+    entry.reply = reply->ToXml();
+  }
+  std::string v1 = SerializeCheckpoint(*current);
+  ASSERT_EQ(v1.rfind("pmckpt|2|", 0), 0u);
+  v1.replace(0, 9, "pmckpt|1|");  // the checksum covers the body only
+  WriteFileOrDie(ckpt_file.path(), v1);
+
+  WorldParts recovered;
+  RecoveryReport report;
+  ASSERT_TRUE(RecoverWithCheckpoint(recovered.pm.get(), &recovered.clock,
+                                    ckpt_file.path(), log_file.path(), {},
+                                    &report)
+                  .ok());
+  EXPECT_TRUE(report.used_checkpoint);
+  auto retry = recovered.pm->Handle(env);
+  ASSERT_TRUE(retry.ok());
+  EXPECT_EQ(retry->Encode(), original_reply.Encode());
   EXPECT_EQ(recovered.pm->active_promises(), 1u);
 }
 

@@ -107,7 +107,12 @@ TEST(OperationLogTest, RejectsMultilinePayloadAndClosedLog) {
   OperationLog log;
   EXPECT_FALSE(log.Append(1, "x").ok());  // not open
   ASSERT_TRUE(log.Open(file.path()).ok());
-  EXPECT_FALSE(log.Append(1, "two\nlines").ok());
+  // v3 records are framed by length: a multi-line payload round-trips.
+  ASSERT_TRUE(log.Append(1, "two\nlines").ok());
+  auto records = OperationLog::ReadAll(file.path());
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 1u);
+  EXPECT_EQ((*records)[0].payload, "two\nlines");
   EXPECT_TRUE(OperationLog::ReadAll("/no/such/file").status().IsNotFound());
 }
 
@@ -516,15 +521,46 @@ TEST(RecoveryTest, TornWriteFailsReleaseAndExecuteWithDataLoss) {
   }
 }
 
-TEST(RecoveryTest, DirectApiLogPayloadsArePinned) {
-  // The exact records the direct API writes. Logs written by earlier
-  // builds must keep replaying, so these bytes must not drift.
-  TempLogFile file("direct_payloads");
-  WorldParts world;
-  OperationLog log;
-  ASSERT_TRUE(log.Open(file.path()).ok());
-  ASSERT_TRUE(world.pm->AttachLog(&log).ok());
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
 
+// A record in the single-line v2 format that builds before v3 wrote.
+std::string V2Line(uint64_t sequence, Timestamp timestamp,
+                   uint64_t promise_id, const std::string& payload) {
+  return std::string("v2|")
+      .append(std::to_string(payload.size()))
+      .append("|")
+      .append(std::to_string(OperationLog::RecordChecksum(
+          payload.size(), sequence, timestamp, promise_id, payload)))
+      .append("|")
+      .append(std::to_string(sequence))
+      .append("|")
+      .append(std::to_string(timestamp))
+      .append("|")
+      .append(std::to_string(promise_id))
+      .append("|")
+      .append(payload)
+      .append("\n");
+}
+
+void WriteFile(const std::string& path, const std::string& contents) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(contents.data(), 1, contents.size(), f);
+  std::fclose(f);
+}
+
+// Seven direct-API operations: three grants (one rejected, one atomic
+// update), a booking under a promise, a restock, a grant and a partly
+// unknown release.
+void RunDirectApiHistory(WorldParts& world) {
   auto g1 = world.pm->RequestPromise(
       world.client, {Predicate::Quantity("stock", CompareOp::kGe, 20)}, 3'000);
   ASSERT_TRUE(g1.ok() && g1->accepted);
@@ -557,11 +593,60 @@ TEST(RecoveryTest, DirectApiLogPayloadsArePinned) {
   ASSERT_TRUE(g3.ok() && g3->accepted);
   EXPECT_TRUE(world.pm->Release(world.client, {g3->promise_id, PromiseId(77)})
                   .IsNotFound());
+}
+
+TEST(RecoveryTest, DirectApiLogPayloadsArePinned) {
+  // The exact records the direct API writes, as binary envelopes in v3
+  // records. Logs written by earlier builds must keep replaying, so
+  // these bytes must not drift; the XML payloads those builds wrote
+  // are the v2 fixture below.
+  TempLogFile file("direct_payloads");
+  WorldParts world;
+  OperationLog log;
+  ASSERT_TRUE(log.Open(file.path()).ok());
+  ASSERT_TRUE(world.pm->AttachLog(&log).ok());
+  RunDirectApiHistory(world);
   log.Close();
 
   auto records = OperationLog::ReadAll(file.path());
   ASSERT_TRUE(records.ok());
   const std::vector<std::pair<uint64_t, std::string>> expected = {
+      {1,
+       "b100087375727669766f720b7265636f76657261626c65000201f02e00011771"
+       "75616e74697479282773746f636b2729203e3d20323000"},
+      {2,
+       "b100087375727669766f720b7265636f76657261626c65000201000001177175"
+       "616e74697479282773746f636b2729203e3d20343900"},
+      {3,
+       "b100087375727669766f720b7265636f76657261626c6500020100000123636f"
+       "756e742827726f6f6d2720776865726520666c6f6f72203d3d203129203e3d20"
+       "310101"},
+      {0,
+       "b100087375727669766f720b7265636f76657261626c6500880201030107626f"
+       "6f6b696e6704626f6f6b0205636c6173730304726f6f6d0770726f6d69736501"
+       "06"},
+      {0,
+       "b100087375727669766f720b7265636f76657261626c650088020009696e7665"
+       "6e746f727907726573746f636b02046974656d030573746f636b087175616e74"
+       "6974790104"},
+      {4,
+       "b100087375727669766f720b7265636f76657261626c65000201000001167175"
+       "616e74697479282773746f636b2729203e3d203100"},
+      {0,
+       "b100087375727669766f720b7265636f76657261626c65001002044d"},
+  };
+  ASSERT_EQ(records->size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ((*records)[i].promise_id, expected[i].first) << i;
+    EXPECT_EQ(Hex((*records)[i].payload), expected[i].second) << i;
+  }
+  WorldParts recovered;
+  ASSERT_TRUE(recovered.pm->ReplayLog(*records, &recovered.clock).ok());
+  ExpectEquivalent(world, recovered);
+
+  // The same seven operations as the XML payloads of a v2 log written
+  // before the binary codec: they must still replay to the same world.
+  const std::vector<std::pair<uint64_t, std::string>> v2_fixture = {
       {1,
        R"(<envelope from="survivor" message-id="0" to="recoverable"><header><promise-request duration-ms="3000" request-id="1"><predicate resource="stock">quantity(&apos;stock&apos;) &gt;= 20</predicate></promise-request></header><body/></envelope>)"},
       {2,
@@ -577,14 +662,154 @@ TEST(RecoveryTest, DirectApiLogPayloadsArePinned) {
       {0,
        R"(<envelope from="survivor" message-id="0" to="recoverable"><header><release><promise promise-id="4"/><promise promise-id="77"/></release></header><body/></envelope>)"},
   };
-  ASSERT_EQ(records->size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ((*records)[i].promise_id, expected[i].first) << i;
-    EXPECT_EQ((*records)[i].payload, expected[i].second) << i;
+  TempLogFile v2_file("direct_payloads_v2");
+  std::string v2_log;
+  for (size_t i = 0; i < v2_fixture.size(); ++i) {
+    v2_log += V2Line(i + 1, 0, v2_fixture[i].first, v2_fixture[i].second);
   }
+  WriteFile(v2_file.path(), v2_log);
+  auto v2_records = OperationLog::ReadAll(v2_file.path());
+  ASSERT_TRUE(v2_records.ok());
+  ASSERT_EQ(v2_records->size(), v2_fixture.size());
+  WorldParts from_v2;
+  ASSERT_TRUE(from_v2.pm->ReplayLog(*v2_records, &from_v2.clock).ok());
+  ExpectEquivalent(world, from_v2);
+}
+
+TEST(RecoveryTest, NewlineInStringParamStaysLogged) {
+  // Regression: single-line records refused a payload with a newline
+  // in it, which detached the log for the whole manager while the
+  // reply still said ok. Length-framed records carry any byte.
+  TempLogFile file("newline_param");
+  WorldParts world;
+  OperationLog log;
+  ASSERT_TRUE(log.Open(file.path()).ok());
+  ASSERT_TRUE(world.pm->AttachLog(&log).ok());
+  Counter* detached =
+      MetricsRegistry::Global().GetCounter("promises_oplog_detached_total");
+  const uint64_t detached_before = detached->Value();
+  uint64_t message_id = 0;
+  for (const char* note : {"one line", "two\nlines", "three"}) {
+    Envelope request;
+    request.message_id = MessageId(++message_id);
+    request.from = "survivor";
+    request.to = "recoverable";
+    ActionBody& restock = request.action.emplace();
+    restock.service = "inventory";
+    restock.operation = "restock";
+    restock.params["item"] = Value("stock");
+    restock.params["quantity"] = Value(1);
+    restock.params["note"] = Value(note);
+    auto reply = world.pm->Handle(request);
+    ASSERT_TRUE(reply.ok() && reply->action_result && reply->action_result->ok)
+        << note;
+  }
+  log.Close();
+  EXPECT_EQ(detached->Value(), detached_before);
+
+  auto records = OperationLog::ReadAll(file.path());
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 3u);
   WorldParts recovered;
   ASSERT_TRUE(recovered.pm->ReplayLog(*records, &recovered.clock).ok());
   ExpectEquivalent(world, recovered);
+  auto txn = recovered.tm.Begin();
+  EXPECT_EQ(*recovered.rm.GetQuantity(txn.get(), "stock"), 53);
+}
+
+TEST(RecoveryTest, MixedVersionLogReplaysLikeAllV2Log) {
+  // One history, written twice: once as an all-v2 log of XML payloads,
+  // once as a log that changed format as it grew (a v1 line, v2 XML
+  // lines, v3 binary records appended by the current writer, then a
+  // torn v3 tail). Both must scan and replay to the same world.
+  TempLogFile source("mixed_source");
+  WorldParts world;
+  {
+    OperationLog log;
+    ASSERT_TRUE(log.Open(source.path()).ok());
+    ASSERT_TRUE(world.pm->AttachLog(&log).ok());
+    RunDirectApiHistory(world);
+  }
+  auto history = OperationLog::ReadAll(source.path());
+  ASSERT_TRUE(history.ok());
+  ASSERT_EQ(history->size(), 7u);
+  std::vector<std::string> xml;
+  for (const LogRecord& r : *history) {
+    ASSERT_EQ(Envelope::Sniff(r.payload), EnvelopeEncoding::kBinary);
+    auto env = Envelope::Decode(r.payload);
+    ASSERT_TRUE(env.ok()) << env.status().ToString();
+    xml.push_back(env->ToXml());
+  }
+
+  TempLogFile all_v2("mixed_all_v2");
+  std::string v2_log;
+  for (size_t i = 0; i < history->size(); ++i) {
+    const LogRecord& r = (*history)[i];
+    v2_log += V2Line(r.sequence, r.timestamp, r.promise_id, xml[i]);
+  }
+  WriteFile(all_v2.path(), v2_log);
+
+  // v1 carries no promise id; the first grant consumes id 1 anyway.
+  TempLogFile mixed("mixed_versions");
+  const LogRecord& first = (*history)[0];
+  ASSERT_EQ(first.promise_id, 1u);
+  std::string prefix = std::to_string(xml[0].size()) + "|" +
+                       std::to_string(OperationLog::Checksum(xml[0])) + "|" +
+                       std::to_string(first.timestamp) + "|" + xml[0] + "\n";
+  for (size_t i = 1; i < 3; ++i) {
+    const LogRecord& r = (*history)[i];
+    prefix += V2Line(r.sequence, r.timestamp, r.promise_id, xml[i]);
+  }
+  WriteFile(mixed.path(), prefix);
+  {
+    OperationLog log;
+    ASSERT_TRUE(log.Open(mixed.path()).ok());
+    SimulatedClock clock(0);
+    for (size_t i = 3; i < history->size(); ++i) {
+      const LogRecord& r = (*history)[i];
+      clock.AdvanceTo(r.timestamp);
+      auto seq = log.AppendOperation(&clock, r.payload, r.promise_id);
+      ASSERT_TRUE(seq.ok());
+      EXPECT_EQ(*seq, r.sequence);
+    }
+  }
+  // A crash mid-append of an eighth record: half a v3 record.
+  const std::string& tail_payload = (*history)[0].payload;
+  std::string torn = std::string("v3|")
+                         .append(std::to_string(tail_payload.size()))
+                         .append("|")
+                         .append(std::to_string(OperationLog::RecordChecksum(
+                             tail_payload.size(), 8, 0, 5, tail_payload)))
+                         .append("|8|0|5|")
+                         .append(tail_payload)
+                         .append("\n");
+  std::FILE* f = std::fopen(mixed.path().c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(torn.data(), 1, torn.size() / 2, f);
+  std::fclose(f);
+
+  LogScanStats stats;
+  auto mixed_records = OperationLog::ReadForRecovery(mixed.path(), &stats);
+  ASSERT_TRUE(mixed_records.ok()) << mixed_records.status().ToString();
+  EXPECT_EQ(stats.stop_reason, ScanStopReason::kTornTail);
+  EXPECT_FALSE(stats.valid_beyond_stop);
+  EXPECT_EQ(stats.discarded_bytes, torn.size() / 2);
+  auto v2_records = OperationLog::ReadAll(all_v2.path());
+  ASSERT_TRUE(v2_records.ok());
+  ASSERT_EQ(mixed_records->size(), v2_records->size());
+  for (size_t i = 0; i < v2_records->size(); ++i) {
+    EXPECT_EQ((*mixed_records)[i].sequence, (*v2_records)[i].sequence) << i;
+    EXPECT_EQ(Envelope::Decode((*mixed_records)[i].payload)->ToXml(), xml[i])
+        << i;
+  }
+
+  WorldParts from_v2;
+  ASSERT_TRUE(from_v2.pm->ReplayLog(*v2_records, &from_v2.clock).ok());
+  WorldParts from_mixed;
+  ASSERT_TRUE(
+      from_mixed.pm->ReplayLog(*mixed_records, &from_mixed.clock).ok());
+  ExpectEquivalent(from_v2, from_mixed);
+  ExpectEquivalent(world, from_mixed);
 }
 
 // --- Logged managers keep the striped lock scope ------------------------

@@ -1,6 +1,6 @@
 // Randomized round-trip tests: arbitrary generated predicates and
-// envelopes must survive ToString/ToXml followed by parsing, bit-exact
-// in structure. These are the serialization counterparts of the
+// envelopes must survive ToString/ToXml (and the binary codec) followed
+// by parsing, bit-exact in structure. These are the serialization counterparts of the
 // engine sweeps in property_test.cc.
 
 #include <gtest/gtest.h>
@@ -238,6 +238,96 @@ TEST_P(EnvelopeFuzzTest, XmlRoundTripPreservesStructure) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EnvelopeFuzzTest,
+                         ::testing::Range<uint64_t>(1, 7));
+
+// --- Binary codec --------------------------------------------------------
+
+class EnvelopeCodecFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+// RandomEnvelope plus the parts it leaves out, so every field of the
+// binary layout is exercised: deadline, trace, queueing, pending
+// tickets, counter-offers, poll, overload, route, exact doubles, and
+// strings with bytes that framing must not care about.
+Envelope RandomFullEnvelope(Rng* rng) {
+  Envelope env = RandomEnvelope(rng);
+  if (rng->Chance(0.5)) env.deadline = rng->UniformInt(-5, 1LL << 40);
+  if (rng->Chance(0.5)) {
+    TraceContext& t = env.trace.emplace();
+    t.trace_hi = rng->NextU64();
+    t.trace_lo = rng->NextU64() | 1;
+    t.span_id = rng->NextU64();
+    if (rng->Chance(0.5)) t.parent_span_id = rng->NextU64();
+    t.sampled = rng->Chance(0.5);
+  }
+  if (env.promise_request) {
+    env.promise_request->queue_if_unavailable = rng->Chance(0.5);
+  }
+  if (env.promise_response) {
+    env.promise_response->result = static_cast<PromiseResultCode>(
+        rng->UniformInt(0, 2));
+    if (rng->Chance(0.5)) {
+      env.promise_response->pending_ticket = rng->UniformInt(1, 1 << 20);
+    }
+    if (rng->Chance(0.5)) {
+      env.promise_response->counter_offer = "quantity('x') >= 3";
+    }
+  }
+  if (rng->Chance(0.3)) env.poll.emplace().ticket = rng->UniformInt(1, 99);
+  if (rng->Chance(0.3)) {
+    env.overload = OverloadHeader{"queue-full", rng->UniformInt(0, 500)};
+  }
+  if (rng->Chance(0.3)) {
+    env.route = RouteHeader{static_cast<int32_t>(rng->UniformInt(0, 7)),
+                            static_cast<uint64_t>(rng->UniformInt(1, 9))};
+  }
+  if (env.action && rng->Chance(0.5)) {
+    env.action->params["note"] = Value("two\nlines|and \x01 a \xb1 byte");
+  }
+  return env;
+}
+
+TEST_P(EnvelopeCodecFuzzTest, BinaryRoundTripMatchesXmlRoundTrip) {
+  Rng rng(GetParam() * 7919);
+  for (int i = 0; i < 60; ++i) {
+    Envelope original = RandomFullEnvelope(&rng);
+    std::string binary = original.Encode();
+    ASSERT_EQ(Envelope::Sniff(binary), EnvelopeEncoding::kBinary);
+    Result<Envelope> back = Envelope::Decode(binary);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    ExpectEnvelopesEqual(original, *back);
+    // Exact: doubles keep their bits and the trace travels, so the
+    // re-encoding is byte-identical.
+    EXPECT_EQ(back->Encode(), binary);
+    // And the XML round trip sees the same envelope.
+    Result<Envelope> via_xml = Envelope::Decode(original.ToXml());
+    ASSERT_TRUE(via_xml.ok()) << via_xml.status().ToString();
+    EXPECT_EQ(back->ToXml(), via_xml->ToXml());
+  }
+}
+
+TEST_P(EnvelopeCodecFuzzTest, TruncationsAndByteFlipsNeverCrash) {
+  Rng rng(GetParam() * 104729);
+  for (int i = 0; i < 20; ++i) {
+    const std::string binary = RandomFullEnvelope(&rng).Encode();
+    // A proper prefix always runs out of bytes mid-field.
+    for (size_t n = 0; n < binary.size(); ++n) {
+      EXPECT_FALSE(Envelope::Decode(binary.substr(0, n)).ok()) << n;
+    }
+    // A flipped byte either fails to decode or yields an envelope that
+    // encodes and decodes again.
+    for (size_t pos = 0; pos < binary.size(); ++pos) {
+      for (unsigned char mask : {0x01, 0x40, 0x80, 0xff}) {
+        std::string damaged = binary;
+        damaged[pos] = static_cast<char>(damaged[pos] ^ mask);
+        Result<Envelope> decoded = Envelope::Decode(damaged);
+        if (!decoded.ok()) continue;
+        EXPECT_TRUE(Envelope::Decode(decoded->Encode()).ok()) << pos;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EnvelopeCodecFuzzTest,
                          ::testing::Range<uint64_t>(1, 7));
 
 }  // namespace

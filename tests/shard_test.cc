@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -294,6 +296,46 @@ TEST(FederatedGrantTest, RejectionCompensatesEarlierShards) {
   auto tally = router.federated()->tally();
   EXPECT_EQ(tally.compensated, 1u);
   EXPECT_EQ(tally.closed, 0u);
+}
+
+TEST(FederatedGrantTest, ConcurrentGrantsAndCompensationsStayAtomic) {
+  // Grants, releases and compensations from 4 threads at once. The
+  // router never holds its lock across a WS-BA call, so this is also
+  // the TSan check for the router <-> participant lock order.
+  LocalWorld world(2, /*pool_quantity=*/50);
+  ShardRouter router(world.ropts);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 10;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        // Every other request asks shard 1 for more than it holds, so
+        // shard 0's sub-grant is compensated.
+        const bool reject = (i + t) % 2 == 1;
+        Result<RoutedGrant> grant = router.Request(
+            {Quantity(world.Pool(0), 1),
+             Quantity(world.Pool(1), reject ? 60 : 1)});
+        if (!grant.ok() || grant->granted == reject) {
+          failures.fetch_add(1);
+          continue;
+        }
+        if (grant->granted && !router.Release(*grant).ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  world.ExpectNoLeak(&router, 0, 50);
+  world.ExpectNoLeak(&router, 1, 50);
+  auto tally = router.federated()->tally();
+  EXPECT_EQ(tally.closed, kThreads * kRounds / 2u);
+  EXPECT_EQ(tally.compensated, kThreads * kRounds / 2u);
+  EXPECT_EQ(tally.mixed, 0u);
+  EXPECT_TRUE(router.federated()->Unresolved().empty());
 }
 
 TEST(FederatedGrantTest, TwinWorldRecoversFromCrashBetweenSubGrants) {

@@ -99,7 +99,7 @@ TEST(TcpTransportTest, ConcurrentConnections) {
         req.to = "server";
         ActionBody a;
         a.service = "s";
-        a.operation = "x";
+        a.operation = std::string("x");
         req.action = std::move(a);
         if (channel.Call(req).ok()) ++ok_count;
       }
@@ -140,6 +140,73 @@ TEST(TcpTransportTest, MalformedXmlAnsweredWithFailure) {
   EXPECT_FALSE(reply->action_result->ok);
   EXPECT_NE(reply->action_result->error.find("handler exploded"),
             std::string::npos);
+}
+
+// A raw client socket, speaking frames directly.
+int RawConnect(uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(TcpTransportTest, EachFrameIsAnsweredInItsOwnEncoding) {
+  // No negotiation: the server sniffs every frame, so an XML (SOAP)
+  // client and a binary client share one port, even one connection,
+  // and a malformed frame of either kind gets a failure reply in its
+  // own encoding.
+  TcpEndpointServer server;
+  ASSERT_TRUE(server.Start(0, EchoHandler()).ok());
+  int fd = RawConnect(server.port());
+  ASSERT_GE(fd, 0);
+  auto exchange = [fd](const std::string& frame) -> Result<std::string> {
+    PROMISES_RETURN_IF_ERROR(WriteFrame(fd, frame));
+    return ReadFrame(fd, 5'000);
+  };
+  Envelope req;
+  req.message_id = MessageId(3);
+  req.from = "raw";
+  req.to = "server";
+  ActionBody a;
+  a.service = "s";
+  a.operation = "ping";
+  req.action = std::move(a);
+
+  struct Case {
+    std::string frame;
+    EnvelopeEncoding reply_encoding;
+    bool valid;
+  };
+  const std::string binary = req.Encode();
+  const std::vector<Case> cases = {
+      {req.ToXml(), EnvelopeEncoding::kXml, true},
+      {binary, EnvelopeEncoding::kBinary, true},
+      {"<envelope message-id=\"3\"><header>", EnvelopeEncoding::kXml, false},
+      {binary.substr(0, binary.size() - 3), EnvelopeEncoding::kBinary, false},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    Result<std::string> reply = exchange(cases[i].frame);
+    ASSERT_TRUE(reply.ok()) << i << ": " << reply.status().ToString();
+    EXPECT_EQ(Envelope::Sniff(*reply), cases[i].reply_encoding) << i;
+    Result<Envelope> decoded = Envelope::Decode(*reply);
+    ASSERT_TRUE(decoded.ok()) << i << ": " << decoded.status().ToString();
+    ASSERT_TRUE(decoded->action_result.has_value()) << i;
+    EXPECT_EQ(decoded->action_result->ok, cases[i].valid) << i;
+    if (cases[i].valid) {
+      EXPECT_EQ(decoded->action_result->outputs.at("op").as_string(), "ping");
+    } else {
+      EXPECT_NE(decoded->action_result->error.find("malformed envelope"),
+                std::string::npos)
+          << decoded->action_result->error;
+    }
+  }
+  ::close(fd);
 }
 
 TEST(TcpTransportTest, RetryableHandlerErrorStaysRetryableOnTheWire) {
