@@ -204,7 +204,7 @@ case "${MODE}" in
     # TSan over the full suite is slow on small runners; the concurrency
     # and transaction tests are where data races would live — including
     # the chaos workload's retry/dedup path.
-    run_preset tsan -R 'Concurren|Striped|LockManager|Transaction|Workload|Chaos|Epoch|Layout|Idempotency|Pending|Overload|Breaker|Admission|Trace|Metrics|GroupCommit|Recovery|Checkpoint|OplogScan|Wsba|Restart|Lifecycle|Drain|Reconnect|Shard|FederatedGrant|Tcp|Protocol|OperationLog|EnvelopeCodec'
+    run_preset tsan -R 'Concurren|Striped|LockManager|Transaction|Workload|Chaos|Epoch|Layout|Idempotency|Pending|Overload|Breaker|Admission|Trace|Metrics|GroupCommit|Recovery|Checkpoint|OplogScan|Wsba|Restart|Lifecycle|Drain|Reconnect|Shard|FederatedGrant|Tcp|Protocol|OperationLog|EnvelopeCodec|TentativeStress|Tentative|Matching'
     ;;
   chaos)
     run_chaos
@@ -231,7 +231,7 @@ case "${MODE}" in
     run_preset default
     run_preset release
     run_preset asan
-    run_preset tsan -R 'Concurren|Striped|LockManager|Transaction|Workload|Chaos|Epoch|Layout|Idempotency|Pending|Overload|Breaker|Admission|Trace|Metrics|GroupCommit|Recovery|Checkpoint|OplogScan|Wsba|Restart|Lifecycle|Drain|Reconnect|Shard|FederatedGrant|Tcp|Protocol|OperationLog|EnvelopeCodec'
+    run_preset tsan -R 'Concurren|Striped|LockManager|Transaction|Workload|Chaos|Epoch|Layout|Idempotency|Pending|Overload|Breaker|Admission|Trace|Metrics|GroupCommit|Recovery|Checkpoint|OplogScan|Wsba|Restart|Lifecycle|Drain|Reconnect|Shard|FederatedGrant|Tcp|Protocol|OperationLog|EnvelopeCodec|TentativeStress|Tentative|Matching'
     run_chaos
     run_restart
     run_epoch

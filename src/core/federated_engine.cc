@@ -45,15 +45,19 @@ Status FederatedEngine::Reserve(Transaction* txn, const PromiseRecord& record,
   for (const std::string& member : eligible) {
     if (static_cast<int64_t>(chosen.size()) == pred.count()) break;
     const Schema* schema = ctx_.rm->GetSchema(member);
-    PROMISES_ASSIGN_OR_RETURN(std::vector<InstanceView> instances,
-                              ctx_.rm->ListInstances(txn, member));
-    for (const InstanceView& inst : instances) {
-      if (inst.status != InstanceStatus::kAvailable) continue;
-      PROMISES_ASSIGN_OR_RETURN(bool m, InstanceMatches(pred, inst, schema));
-      if (!m) continue;
-      chosen.push_back(Assignment{member, inst.id});
-      if (static_cast<int64_t>(chosen.size()) == pred.count()) break;
-    }
+    PROMISES_RETURN_IF_ERROR(ctx_.rm->ForEachInstance(
+        txn, member,
+        [&](const std::string& id, InstanceStatus status,
+            const PropertyMap& properties) -> Status {
+          if (static_cast<int64_t>(chosen.size()) == pred.count() ||
+              status != InstanceStatus::kAvailable) {
+            return Status::OK();
+          }
+          PROMISES_ASSIGN_OR_RETURN(
+              bool m, InstanceMatches(pred, properties, schema));
+          if (m) chosen.push_back(Assignment{member, id});
+          return Status::OK();
+        }));
   }
   if (static_cast<int64_t>(chosen.size()) < pred.count()) {
     return Status::FailedPrecondition(
@@ -164,13 +168,16 @@ Result<int64_t> FederatedEngine::CountHeadroom(Transaction* txn,
   int64_t headroom = 0;
   for (const std::string& member : *eligible) {
     const Schema* schema = ctx_.rm->GetSchema(member);
-    PROMISES_ASSIGN_OR_RETURN(std::vector<InstanceView> instances,
-                              ctx_.rm->ListInstances(txn, member));
-    for (const InstanceView& inst : instances) {
-      if (inst.status != InstanceStatus::kAvailable) continue;
-      PROMISES_ASSIGN_OR_RETURN(bool m, InstanceMatches(pred, inst, schema));
-      if (m) ++headroom;
-    }
+    PROMISES_RETURN_IF_ERROR(ctx_.rm->ForEachInstance(
+        txn, member,
+        [&](const std::string&, InstanceStatus status,
+            const PropertyMap& properties) -> Status {
+          if (status != InstanceStatus::kAvailable) return Status::OK();
+          PROMISES_ASSIGN_OR_RETURN(
+              bool m, InstanceMatches(pred, properties, schema));
+          if (m) ++headroom;
+          return Status::OK();
+        }));
   }
   return headroom;
 }

@@ -111,6 +111,37 @@ Result<int64_t> SatisfiabilityEngine::QuantityHeadroom(Transaction* txn,
   return std::max<int64_t>(0, quantity - promised);
 }
 
+Status SatisfiabilityEngine::CollectRights(
+    Transaction* txn, const std::vector<const Predicate*>& preds,
+    std::vector<std::string>* right_ids,
+    std::vector<std::vector<size_t>>* candidates) {
+  const Schema* schema = ctx_.rm->GetSchema(cls_);
+  std::map<std::string, size_t> right_of_id;
+  candidates->assign(preds.size(), {});
+  PROMISES_RETURN_IF_ERROR(ctx_.rm->ForEachInstance(
+      txn, cls_,
+      [&](const std::string& id, InstanceStatus status,
+          const PropertyMap& properties) -> Status {
+        if (status != InstanceStatus::kAvailable) return Status::OK();
+        size_t ri = right_ids->size();
+        right_ids->push_back(id);
+        right_of_id.emplace(id, ri);
+        for (size_t i = 0; i < preds.size(); ++i) {
+          if (preds[i]->kind() != PredicateKind::kProperty) continue;
+          PROMISES_ASSIGN_OR_RETURN(
+              bool m, InstanceMatches(*preds[i], properties, schema));
+          if (m) (*candidates)[i].push_back(ri);
+        }
+        return Status::OK();
+      }));
+  for (size_t i = 0; i < preds.size(); ++i) {
+    if (preds[i]->kind() != PredicateKind::kNamed) continue;
+    auto it = right_of_id.find(preds[i]->instance_id());
+    if (it != right_of_id.end()) (*candidates)[i].push_back(it->second);
+  }
+  return Status::OK();
+}
+
 Result<int64_t> SatisfiabilityEngine::CountHeadroom(Transaction* txn,
                                                     Timestamp now,
                                                     const Predicate& pred) {
@@ -118,59 +149,41 @@ Result<int64_t> SatisfiabilityEngine::CountHeadroom(Transaction* txn,
     return Status::Unimplemented("count headroom needs a property predicate "
                                  "on an instance class");
   }
-  PROMISES_ASSIGN_OR_RETURN(std::vector<InstanceView> instances,
-                            ctx_.rm->ListInstances(txn, cls_));
-  const Schema* schema = ctx_.rm->GetSchema(cls_);
-
-  std::vector<size_t> rights;
-  std::map<std::string, size_t> right_of_id;
-  for (size_t i = 0; i < instances.size(); ++i) {
-    if (instances[i].status == InstanceStatus::kAvailable) {
-      right_of_id[instances[i].id] = rights.size();
-      rights.push_back(i);
-    }
-  }
-
-  // Seed an incremental matcher with every existing demand; then add
-  // units of `pred` until no augmenting path remains.
-  IncrementalMatcher matcher(rights.size());
-  uint64_t next_demand = 1;
+  // Every existing demand, then `pred` last.
+  std::vector<const Predicate*> preds;
+  std::vector<int64_t> units;
   for (const PromiseRecord* r : ctx_.table->ActiveForClass(cls_, now)) {
     for (const Predicate& p : r->predicates) {
       if (p.resource_class() != cls_) continue;
-      std::vector<size_t> candidates;
-      int64_t units = 0;
       if (p.kind() == PredicateKind::kNamed) {
-        auto it = right_of_id.find(p.instance_id());
-        if (it != right_of_id.end()) candidates.push_back(it->second);
-        units = 1;
+        units.push_back(1);
       } else if (p.kind() == PredicateKind::kProperty) {
-        for (size_t ri = 0; ri < rights.size(); ++ri) {
-          PROMISES_ASSIGN_OR_RETURN(
-              bool m, InstanceMatches(p, instances[rights[ri]], schema));
-          if (m) candidates.push_back(ri);
-        }
-        units = p.count();
+        units.push_back(p.count());
       } else {
         continue;
       }
-      for (int64_t u = 0; u < units; ++u) {
-        // Existing promises are satisfiable by invariant; a failed add
-        // here means state drifted (e.g. mid-consumption) — treat the
-        // unit as absorbing no headroom.
-        (void)matcher.AddDemand(next_demand++, candidates);
-      }
+      preds.push_back(&p);
     }
   }
+  preds.push_back(&pred);
+  std::vector<std::string> right_ids;
+  std::vector<std::vector<size_t>> candidates;
+  PROMISES_RETURN_IF_ERROR(CollectRights(txn, preds, &right_ids, &candidates));
 
-  std::vector<size_t> candidates;
-  for (size_t ri = 0; ri < rights.size(); ++ri) {
-    PROMISES_ASSIGN_OR_RETURN(
-        bool m, InstanceMatches(pred, instances[rights[ri]], schema));
-    if (m) candidates.push_back(ri);
+  // Seed an incremental matcher with every existing demand; then add
+  // units of `pred` until no augmenting path remains.
+  IncrementalMatcher matcher(right_ids.size());
+  uint64_t next_demand = 1;
+  for (size_t i = 0; i < units.size(); ++i) {
+    for (int64_t u = 0; u < units[i]; ++u) {
+      // Existing promises are satisfiable by invariant; a failed add
+      // here means state drifted (e.g. mid-consumption) — treat the
+      // unit as absorbing no headroom.
+      (void)matcher.AddDemand(next_demand++, candidates[i]);
+    }
   }
   int64_t headroom = 0;
-  while (matcher.AddDemand(next_demand++, candidates)) ++headroom;
+  while (matcher.AddDemand(next_demand++, candidates.back())) ++headroom;
   return headroom;
 }
 
@@ -206,23 +219,11 @@ Result<bool> SatisfiabilityEngine::CheckNow(
     return true;
   }
 
-  // Instance class: build the §5 bipartite graph.
-  PROMISES_ASSIGN_OR_RETURN(std::vector<InstanceView> instances,
-                            ctx_.rm->ListInstances(txn, cls_));
-  const Schema* schema = ctx_.rm->GetSchema(cls_);
-
-  // Right side: untaken (available) instances.
-  std::vector<size_t> rights;  // index into `instances`
-  std::map<std::string, size_t> right_of_id;
-  for (size_t i = 0; i < instances.size(); ++i) {
-    if (instances[i].status == InstanceStatus::kAvailable) {
-      right_of_id[instances[i].id] = rights.size();
-      rights.push_back(i);
-    }
-  }
-
-  // Left side: demand units from every active promise on this class.
-  std::vector<Unit> units;
+  // Instance class: build the §5 bipartite graph. Left side: demand
+  // units from every active promise on this class.
+  std::vector<const Predicate*> preds;
+  std::vector<PromiseId> owners;
+  std::vector<int64_t> demand_counts;
   for (const PromiseRecord* r : active) {
     for (const Predicate& p : r->predicates) {
       if (p.resource_class() != cls_) continue;
@@ -240,31 +241,31 @@ Result<bool> SatisfiabilityEngine::CheckNow(
           resolve_pred != nullptr && p.Equals(*resolve_pred)) {
         demand_count = std::max<int64_t>(0, demand_count - resolve_taken);
       }
-      std::vector<size_t> candidates;
-      if (p.kind() == PredicateKind::kNamed) {
-        auto it = right_of_id.find(p.instance_id());
-        if (it != right_of_id.end()) candidates.push_back(it->second);
-      } else {
-        for (size_t ri = 0; ri < rights.size(); ++ri) {
-          PROMISES_ASSIGN_OR_RETURN(
-              bool m, InstanceMatches(p, instances[rights[ri]], schema));
-          if (m) candidates.push_back(ri);
-        }
-      }
-      for (int64_t u = 0; u < demand_count; ++u) {
-        units.push_back(Unit{r->id, &p, candidates});
-      }
+      preds.push_back(&p);
+      owners.push_back(r->id);
+      demand_counts.push_back(demand_count);
+    }
+  }
+  // Right side: untaken (available) instances.
+  std::vector<std::string> right_ids;
+  std::vector<std::vector<size_t>> candidates;
+  PROMISES_RETURN_IF_ERROR(CollectRights(txn, preds, &right_ids, &candidates));
+  std::vector<Unit> units;
+  for (size_t i = 0; i < preds.size(); ++i) {
+    for (int64_t u = 0; u < demand_counts[i]; ++u) {
+      units.push_back(Unit{owners[i], preds[i], candidates[i]});
     }
   }
 
-  BipartiteGraph graph(units.size(), rights.size());
+  BipartiteGraph graph(units.size(), right_ids.size());
   for (size_t l = 0; l < units.size(); ++l) {
     for (size_t r : units[l].candidates) graph.AddEdge(l, r);
   }
   MatchingResult m = MaxMatching(graph);
   if (!m.Saturating()) {
     *reason = std::to_string(units.size()) + " demand units vs " +
-              std::to_string(rights.size()) + " available instances; only " +
+              std::to_string(right_ids.size()) +
+              " available instances; only " +
               std::to_string(m.size) + " satisfiable";
     return false;
   }
@@ -275,7 +276,7 @@ Result<bool> SatisfiabilityEngine::CheckNow(
           units[l].pred->Equals(*resolve_pred)) {
         size_t r = m.match_left[l];
         if (r != MatchingResult::kUnmatched) {
-          *resolved = instances[rights[r]].id;
+          *resolved = right_ids[r];
         }
         break;
       }

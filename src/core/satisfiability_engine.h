@@ -64,6 +64,16 @@ class SatisfiabilityEngine : public ResourceEngine {
     std::vector<size_t> candidates;  // indexes into available instances
   };
 
+  /// Reads the right side of the §5 graph — the available instances,
+  /// in id order, into `right_ids` — and, for each of `preds`, the
+  /// rights it may use (named: its instance if available; property:
+  /// every match) into `candidates`, in one walk of the class that
+  /// copies no instance.
+  Status CollectRights(Transaction* txn,
+                       const std::vector<const Predicate*>& preds,
+                       std::vector<std::string>* right_ids,
+                       std::vector<std::vector<size_t>>* candidates);
+
   /// Core check; `reason` receives a human-readable failure cause.
   /// `resolve_for`/`resolve_taken`: when promise is valid, also report
   /// the instance matched to that promise's (already_taken+1)-th unit

@@ -35,17 +35,23 @@ Status AllocatedTagEngine::Reserve(Transaction* txn,
     return TagInstance(txn, key, pred.instance_id());
   }
   if (pred.kind() == PredicateKind::kProperty) {
-    PROMISES_ASSIGN_OR_RETURN(std::vector<InstanceView> instances,
-                              ctx_.rm->ListInstances(txn, cls_));
     const Schema* schema = ctx_.rm->GetSchema(cls_);
     std::vector<std::string> chosen;
-    for (const InstanceView& inst : instances) {
-      if (inst.status != InstanceStatus::kAvailable) continue;
-      PROMISES_ASSIGN_OR_RETURN(bool m, InstanceMatches(pred, inst, schema));
-      if (!m) continue;
-      chosen.push_back(inst.id);
-      if (static_cast<int64_t>(chosen.size()) == pred.count()) break;
-    }
+    bool full = false;
+    PROMISES_RETURN_IF_ERROR(ctx_.rm->ForEachInstance(
+        txn, cls_,
+        [&](const std::string& id, InstanceStatus status,
+            const PropertyMap& properties) -> Status {
+          if (full || status != InstanceStatus::kAvailable) {
+            return Status::OK();
+          }
+          PROMISES_ASSIGN_OR_RETURN(bool m,
+                                    InstanceMatches(pred, properties, schema));
+          if (!m) return Status::OK();
+          chosen.push_back(id);
+          full = static_cast<int64_t>(chosen.size()) == pred.count();
+          return Status::OK();
+        }));
     if (static_cast<int64_t>(chosen.size()) < pred.count()) {
       return Status::FailedPrecondition(
           "only " + std::to_string(chosen.size()) + " of " +
@@ -92,15 +98,18 @@ Result<int64_t> AllocatedTagEngine::CountHeadroom(Transaction* txn,
   if (pred.kind() != PredicateKind::kProperty) {
     return Status::Unimplemented("count headroom needs a property predicate");
   }
-  PROMISES_ASSIGN_OR_RETURN(std::vector<InstanceView> instances,
-                            ctx_.rm->ListInstances(txn, cls_));
   const Schema* schema = ctx_.rm->GetSchema(cls_);
   int64_t headroom = 0;
-  for (const InstanceView& inst : instances) {
-    if (inst.status != InstanceStatus::kAvailable) continue;
-    PROMISES_ASSIGN_OR_RETURN(bool m, InstanceMatches(pred, inst, schema));
-    if (m) ++headroom;
-  }
+  PROMISES_RETURN_IF_ERROR(ctx_.rm->ForEachInstance(
+      txn, cls_,
+      [&](const std::string&, InstanceStatus status,
+          const PropertyMap& properties) -> Status {
+        if (status != InstanceStatus::kAvailable) return Status::OK();
+        PROMISES_ASSIGN_OR_RETURN(bool m,
+                                  InstanceMatches(pred, properties, schema));
+        if (m) ++headroom;
+        return Status::OK();
+      }));
   return headroom;
 }
 

@@ -6,65 +6,118 @@
 #include "predicate/evaluator.h"
 
 namespace promises {
+namespace {
 
-void TentativeEngine::PushStateUndo(Transaction* txn) {
-  IncrementalMatcher::Snapshot snap = matcher_.TakeSnapshot();
-  auto ledger = ledger_;
-  uint64_t next = next_demand_;
-  txn->PushUndo([this, snap = std::move(snap), ledger = std::move(ledger),
-                 next]() mutable {
-    matcher_.Restore(std::move(snap));
-    ledger_ = std::move(ledger);
+// Distinct predicate texts whose candidate sets are kept; past this the
+// cache starts over, so odd workloads cannot grow it without bound.
+constexpr size_t kMaxCachedPredicates = 256;
+
+}  // namespace
+
+size_t TentativeEngine::BeginOp(Transaction* txn) {
+  // The promise-manager stripe serializes every transaction that calls
+  // this engine, so a new transaction id means the previous one has
+  // committed or rolled back and its journal is dead.
+  if (txn->id() != journal_txn_) {
+    matcher_.ForgetJournal();
+    journal_txn_ = txn->id();
+  }
+  const size_t mark = matcher_.Mark();
+  txn->PushUndo([this, mark, rights = instance_ids_.size(),
+                 next = next_demand_, reallocations = reallocations_,
+                 synced = synced_] {
+    matcher_.RollbackTo(mark);
+    while (instance_ids_.size() > rights) {
+      index_of_.erase(instance_ids_.back());
+      instance_ids_.pop_back();
+    }
     next_demand_ = next;
+    reallocations_ = reallocations;
+    // Versions only grow, so the restored ones match the class again
+    // only if it is unchanged since the mark; otherwise the next Sync
+    // reconciles (and rebuilds the order and cache) in full.
+    synced_ = synced;
   });
-}
-
-std::vector<uint64_t> TentativeEngine::CurrentOwners() const {
-  std::vector<uint64_t> owners(matcher_.num_right());
-  for (size_t r = 0; r < owners.size(); ++r) owners[r] = matcher_.OwnerOf(r);
-  return owners;
+  return mark;
 }
 
 Status TentativeEngine::Sync(Transaction* txn) {
-  PROMISES_ASSIGN_OR_RETURN(std::vector<InstanceView> instances,
-                            ctx_.rm->ListInstances(txn, cls_));
-  // Index any new instances (appends only; instance removal from a
-  // class is not part of the model).
-  for (const InstanceView& inst : instances) {
-    if (index_of_.count(inst.id)) continue;
-    size_t idx = matcher_.AddRight();
-    instance_ids_.push_back(inst.id);
-    index_of_[inst.id] = idx;
-    txn->PushUndo([this, id = inst.id] {
-      // AddRight cannot be popped from the matcher (snapshot undos
-      // handle matcher state); only the index maps need trimming when
-      // the enclosing insert rolls back.
-      if (!instance_ids_.empty() && instance_ids_.back() == id) {
-        index_of_.erase(id);
-        instance_ids_.pop_back();
-      }
-    });
+  PROMISES_ASSIGN_OR_RETURN(InstanceClassVersions now,
+                            ctx_.rm->GetClassVersions(txn, cls_));
+  if (synced_ == now) return Status::OK();
+  const bool reshaped = !synced_ || now.shape != synced_->shape;
+  if (reshaped) {
+    candidates_.clear();
+    visit_order_.clear();
   }
-
-  // Reconcile statuses changed behind the matcher's back.
-  for (const InstanceView& inst : instances) {
-    size_t idx = index_of_.at(inst.id);
-    bool usable = inst.status != InstanceStatus::kTaken;
-    if (!usable && matcher_.RightEnabled(idx)) {
-      // Taken: drop from the matching; a failed rehouse surfaces later
-      // through VerifyConsistent's saturation check.
-      matcher_.DisableRight(idx);
-    } else if (usable && !matcher_.RightEnabled(idx)) {
-      matcher_.EnableRight(idx);
-    }
-  }
+  size_t pos = 0;
+  PROMISES_RETURN_IF_ERROR(ctx_.rm->ForEachInstance(
+      txn, cls_,
+      [&](const std::string& id, InstanceStatus status,
+          const PropertyMap&) -> Status {
+        size_t idx;
+        if (reshaped) {
+          // Index new instances (appends only; instance removal from a
+          // class is not part of the model).
+          auto [it, inserted] = index_of_.try_emplace(id, 0);
+          if (inserted) {
+            it->second = matcher_.AddRight();
+            instance_ids_.push_back(id);
+          }
+          idx = it->second;
+          visit_order_.push_back(idx);
+        } else if (pos < visit_order_.size()) {
+          idx = visit_order_[pos++];
+        } else {
+          return Status::Internal("tentative engine '" + cls_ +
+                                  "': population changed without a shape "
+                                  "version bump");
+        }
+        // Reconcile statuses changed behind the matcher's back. A taken
+        // right drops out of the matching; a failed rehouse surfaces
+        // through VerifyConsistent's saturation check.
+        bool usable = status != InstanceStatus::kTaken;
+        if (!usable && matcher_.RightEnabled(idx)) {
+          matcher_.DisableRight(idx);
+        } else if (usable && !matcher_.RightEnabled(idx)) {
+          matcher_.EnableRight(idx);
+        }
+        return Status::OK();
+      }));
+  synced_ = now;
   return Status::OK();
 }
 
-Status TentativeEngine::MirrorStatuses(
-    Transaction* txn, const std::vector<uint64_t>& before_owner) {
-  for (size_t r = 0; r < matcher_.num_right(); ++r) {
-    uint64_t before = r < before_owner.size() ? before_owner[r] : 0;
+Result<const std::vector<size_t>*> TentativeEngine::Candidates(
+    Transaction* txn, const Predicate& pred, const std::string& text) {
+  auto it = candidates_.find(text);
+  if (it != candidates_.end()) return &it->second;
+  if (candidates_.size() >= kMaxCachedPredicates) candidates_.clear();
+  const Schema* schema = ctx_.rm->GetSchema(cls_);
+  std::vector<size_t> rights;
+  size_t pos = 0;
+  PROMISES_RETURN_IF_ERROR(ctx_.rm->ForEachInstance(
+      txn, cls_,
+      [&](const std::string&, InstanceStatus,
+          const PropertyMap& properties) -> Status {
+        if (pos >= visit_order_.size()) {
+          return Status::Internal("tentative engine '" + cls_ +
+                                  "': candidates read before Sync");
+        }
+        PROMISES_ASSIGN_OR_RETURN(bool m,
+                                  InstanceMatches(pred, properties, schema));
+        if (m) rights.push_back(visit_order_[pos]);
+        ++pos;
+        return Status::OK();
+      }));
+  return &candidates_.emplace(text, std::move(rights)).first->second;
+}
+
+Status TentativeEngine::MirrorStatuses(Transaction* txn, size_t mark) {
+  matcher_.OwnersEditedSince(mark, &edited_);
+  bool in_sync = false;
+  bool wrote = false;
+  for (const auto& [r, before] : edited_) {
     uint64_t after = matcher_.OwnerOf(r);
     if (before == after) continue;
     PROMISES_ASSIGN_OR_RETURN(
@@ -73,10 +126,20 @@ Status TentativeEngine::MirrorStatuses(
     if (status == InstanceStatus::kTaken) continue;
     InstanceStatus want = after != 0 ? InstanceStatus::kPromised
                                      : InstanceStatus::kAvailable;
-    if (status != want) {
-      PROMISES_RETURN_IF_ERROR(
-          ctx_.rm->SetInstanceStatus(txn, cls_, instance_ids_[r], want));
+    if (status == want) continue;
+    if (!wrote) {
+      // Our own writes leave the matcher in sync if it was in sync
+      // before them (the class lock keeps everyone else out).
+      PROMISES_ASSIGN_OR_RETURN(InstanceClassVersions v,
+                                ctx_.rm->GetClassVersions(txn, cls_));
+      in_sync = synced_ == v;
+      wrote = true;
     }
+    PROMISES_RETURN_IF_ERROR(
+        ctx_.rm->SetInstanceStatus(txn, cls_, instance_ids_[r], want));
+  }
+  if (wrote && in_sync) {
+    PROMISES_ASSIGN_OR_RETURN(synced_, ctx_.rm->GetClassVersions(txn, cls_));
   }
   return Status::OK();
 }
@@ -87,39 +150,37 @@ Status TentativeEngine::Reserve(Transaction* txn, const PromiseRecord& record,
     return Status::InvalidArgument(
         "tentative engine supports named and property predicates only");
   }
-  PushStateUndo(txn);
+  const size_t mark = BeginOp(txn);
   PROMISES_RETURN_IF_ERROR(Sync(txn));
-  std::vector<uint64_t> before = CurrentOwners();
+  // Owner changes from here on are this grant's; Sync's rehousing of
+  // demands off taken rights is not a reallocation.
+  const size_t grant_mark = matcher_.Mark();
+  std::string text = pred.ToString();
 
-  // Build candidate sets.
-  std::vector<std::vector<size_t>> unit_candidates;
+  const std::vector<size_t>* candidates;
+  std::vector<size_t> named;
+  int64_t units = 1;
   if (pred.kind() == PredicateKind::kNamed) {
     auto it = index_of_.find(pred.instance_id());
     if (it == index_of_.end()) {
       return Status::NotFound("instance '" + pred.instance_id() +
                               "' not found in '" + cls_ + "'");
     }
-    unit_candidates.push_back({it->second});
+    named.push_back(it->second);
+    candidates = &named;
   } else {
-    PROMISES_ASSIGN_OR_RETURN(std::vector<InstanceView> instances,
-                              ctx_.rm->ListInstances(txn, cls_));
-    const Schema* schema = ctx_.rm->GetSchema(cls_);
-    std::vector<size_t> candidates;
-    for (const InstanceView& inst : instances) {
-      PROMISES_ASSIGN_OR_RETURN(bool m, InstanceMatches(pred, inst, schema));
-      if (m) candidates.push_back(index_of_.at(inst.id));
-    }
-    unit_candidates.assign(static_cast<size_t>(pred.count()), candidates);
+    PROMISES_ASSIGN_OR_RETURN(candidates, Candidates(txn, pred, text));
+    units = pred.count();
   }
 
   std::vector<uint64_t> demand_ids;
-  for (const std::vector<size_t>& candidates : unit_candidates) {
+  for (int64_t u = 0; u < units; ++u) {
     uint64_t d = next_demand_++;
-    if (!matcher_.AddDemand(d, candidates)) {
-      // State undo closures revert partial adds when the transaction
-      // rolls back; report the precondition failure.
+    if (!matcher_.AddDemand(d, *candidates)) {
+      // The operation's undo rolls back the units already added when
+      // the transaction rolls back; report the precondition failure.
       return Status::FailedPrecondition(
-          "no assignment possible for " + pred.ToString() + " in '" + cls_ +
+          "no assignment possible for " + text + " in '" + cls_ +
           "' even after reallocation");
     }
     demand_ids.push_back(d);
@@ -127,14 +188,26 @@ Status TentativeEngine::Reserve(Transaction* txn, const PromiseRecord& record,
 
   // Count displacements: any right whose owner changed from one demand
   // to a different demand (not 0) was reallocated.
-  std::vector<uint64_t> after = CurrentOwners();
-  for (size_t r = 0; r < after.size(); ++r) {
-    uint64_t b = r < before.size() ? before[r] : 0;
-    if (b != 0 && after[r] != 0 && after[r] != b) ++reallocations_;
+  matcher_.OwnersEditedSince(grant_mark, &edited_);
+  for (const auto& [r, before] : edited_) {
+    uint64_t after = matcher_.OwnerOf(r);
+    if (before != 0 && after != 0 && after != before) ++reallocations_;
   }
 
-  ledger_[KeyOf(record.id, pred)] = demand_ids;
-  return MirrorStatuses(txn, before);
+  AssignKey key(record.id, std::move(text));
+  auto [entry, inserted] = ledger_.try_emplace(key);
+  std::vector<uint64_t> replaced =
+      inserted ? std::vector<uint64_t>() : std::move(entry->second);
+  entry->second = std::move(demand_ids);
+  txn->PushUndo([this, key = std::move(key), inserted,
+                 replaced = std::move(replaced)]() mutable {
+    if (inserted) {
+      ledger_.erase(key);
+    } else {
+      ledger_[key] = std::move(replaced);
+    }
+  });
+  return MirrorStatuses(txn, mark);
 }
 
 Status TentativeEngine::Unreserve(Transaction* txn, PromiseId id,
@@ -144,11 +217,13 @@ Status TentativeEngine::Unreserve(Transaction* txn, PromiseId id,
     return Status::Internal("no tentative assignment for " + id.ToString() +
                             " on '" + cls_ + "'");
   }
-  PushStateUndo(txn);
-  std::vector<uint64_t> before = CurrentOwners();
+  const size_t mark = BeginOp(txn);
   for (uint64_t d : it->second) matcher_.RemoveDemand(d);
+  txn->PushUndo([this, key = it->first, demands = std::move(it->second)] {
+    ledger_[key] = demands;
+  });
   ledger_.erase(it);
-  return MirrorStatuses(txn, before);
+  return MirrorStatuses(txn, mark);
 }
 
 Result<int64_t> TentativeEngine::CountHeadroom(Transaction* txn,
@@ -158,30 +233,25 @@ Result<int64_t> TentativeEngine::CountHeadroom(Transaction* txn,
   if (pred.kind() != PredicateKind::kProperty) {
     return Status::Unimplemented("count headroom needs a property predicate");
   }
-  PushStateUndo(txn);  // Sync's reconciliation must roll back too
+  const size_t mark = BeginOp(txn);  // Sync's reconciliation rolls back too
   PROMISES_RETURN_IF_ERROR(Sync(txn));
-  PROMISES_ASSIGN_OR_RETURN(std::vector<InstanceView> instances,
-                            ctx_.rm->ListInstances(txn, cls_));
-  const Schema* schema = ctx_.rm->GetSchema(cls_);
-  std::vector<size_t> candidates;
-  for (const InstanceView& inst : instances) {
-    PROMISES_ASSIGN_OR_RETURN(bool m, InstanceMatches(pred, inst, schema));
-    if (m) candidates.push_back(index_of_.at(inst.id));
-  }
-  // Probe on a scratch copy so the live matching is untouched.
-  IncrementalMatcher::Snapshot snap = matcher_.TakeSnapshot();
+  PROMISES_ASSIGN_OR_RETURN(const std::vector<size_t>* candidates,
+                            Candidates(txn, pred, pred.ToString()));
+  // Probe between a mark and a rollback so the live matching is
+  // untouched.
+  const size_t probe_mark = matcher_.Mark();
   int64_t headroom = 0;
   uint64_t probe = next_demand_ + 1'000'000;  // ids never persisted
-  while (matcher_.AddDemand(probe++, candidates)) ++headroom;
-  matcher_.Restore(std::move(snap));
+  while (matcher_.AddDemand(probe++, *candidates)) ++headroom;
+  matcher_.RollbackTo(probe_mark);
+  PROMISES_RETURN_IF_ERROR(MirrorStatuses(txn, mark));
   return headroom;
 }
 
 Status TentativeEngine::VerifyConsistent(Transaction* txn, Timestamp now) {
-  PushStateUndo(txn);
-  std::vector<uint64_t> before = CurrentOwners();
+  const size_t mark = BeginOp(txn);
   PROMISES_RETURN_IF_ERROR(Sync(txn));
-  PROMISES_RETURN_IF_ERROR(MirrorStatuses(txn, before));
+  PROMISES_RETURN_IF_ERROR(MirrorStatuses(txn, mark));
   for (const auto& [key, demand_ids] : ledger_) {
     const PromiseRecord* rec = ctx_.table->Find(key.first);
     if (rec == nullptr || !rec->ActiveAt(now)) continue;
@@ -271,7 +341,7 @@ Status TentativeEngine::RestoreState(const std::string& blob) {
   }
   PROMISES_ASSIGN_OR_RETURN(int64_t rights, next());
   std::vector<std::string> instance_ids;
-  std::map<std::string, size_t> index_of;
+  std::unordered_map<std::string, size_t> index_of;
   IncrementalMatcher::Snapshot snap;
   snap.right_owner.assign(static_cast<size_t>(rights), 0);
   snap.right_enabled.assign(static_cast<size_t>(rights), true);
@@ -329,6 +399,11 @@ Status TentativeEngine::RestoreState(const std::string& blob) {
   next_demand_ = static_cast<uint64_t>(next_demand);
   reallocations_ = static_cast<uint64_t>(reallocations);
   matcher_.Restore(std::move(snap));
+  // The restored matcher is reconciled with the class on the next Sync.
+  synced_.reset();
+  candidates_.clear();
+  visit_order_.clear();
+  journal_txn_ = TxnId();
   return Status::OK();
 }
 

@@ -14,12 +14,22 @@
 // request whenever a different room with a view exists. The instance
 // status field mirrors the matching ('promised' = currently matched),
 // per the hybrid description.
+//
+// Every operation costs what it changes (DESIGN §4 "engine cost
+// model"): the matcher journals its edits and an aborted operation
+// rolls back to its mark; the class's status version gates the
+// enabled-right reconciliation; property candidate sets are cached per
+// predicate text until the class's shape version moves; statuses are
+// mirrored only for the rights the journal touched.
 
 #ifndef PROMISES_CORE_TENTATIVE_ENGINE_H_
 #define PROMISES_CORE_TENTATIVE_ENGINE_H_
 
 #include <map>
+#include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -58,31 +68,46 @@ class TentativeEngine : public ResourceEngine {
     return {id, pred.ToString()};
   }
 
-  /// Loads/refreshes the instance index and reconciles matcher state
-  /// with externally changed statuses (taken instances drop out,
-  /// re-available ones return). Mutations are undoable via `txn`.
+  /// Starts a mutating operation: registers one undo closure that
+  /// rolls the matcher back to the returned journal mark and restores
+  /// the engine's own counters. The journal of an earlier (finished)
+  /// transaction is dropped first.
+  size_t BeginOp(Transaction* txn);
+
+  /// Reconciles the matcher with the class: indexes new instances and
+  /// disables taken / re-enables untaken rights. Returns at once while
+  /// the class's versions equal the last synced ones. Edits are
+  /// journaled, so they roll back with the operation.
   Status Sync(Transaction* txn);
 
-  /// Registers an undo closure restoring the complete matcher + ledger
-  /// state as of now. Call before any mutation batch.
-  void PushStateUndo(Transaction* txn);
+  /// Right indices whose instance matches property predicate `pred`,
+  /// cached per predicate text for the synced shape version. Call
+  /// after Sync in the same operation.
+  Result<const std::vector<size_t>*> Candidates(Transaction* txn,
+                                                const Predicate& pred,
+                                                const std::string& text);
 
-  /// Flips RM statuses so that matched rights read 'promised' and
-  /// unmatched non-taken rights read 'available', diffing against
-  /// `before_owner`.
-  Status MirrorStatuses(Transaction* txn,
-                        const std::vector<uint64_t>& before_owner);
-
-  std::vector<uint64_t> CurrentOwners() const;
+  /// Flips RM statuses so that rights whose owner changed since `mark`
+  /// read 'promised' when matched and 'available' when free ('taken'
+  /// stays).
+  Status MirrorStatuses(Transaction* txn, size_t mark);
 
   std::string cls_;
   EngineContext ctx_;
   IncrementalMatcher matcher_;
-  std::vector<std::string> instance_ids_;           // right index -> id
-  std::map<std::string, size_t> index_of_;          // id -> right index
-  std::map<AssignKey, std::vector<uint64_t>> ledger_;  // demand ids
+  std::vector<std::string> instance_ids_;                // right -> id
+  std::unordered_map<std::string, size_t> index_of_;     // id -> right
+  std::map<AssignKey, std::vector<uint64_t>> ledger_;   // demand ids
   uint64_t next_demand_ = 1;
   uint64_t reallocations_ = 0;
+
+  // Derived state, valid while the class's versions equal `synced_`.
+  std::optional<InstanceClassVersions> synced_;
+  std::vector<size_t> visit_order_;  // id-order position -> right
+  std::unordered_map<std::string, std::vector<size_t>> candidates_;
+
+  TxnId journal_txn_;  // transaction whose marks the journal serves
+  std::vector<std::pair<size_t, uint64_t>> edited_;  // scratch
 };
 
 }  // namespace promises

@@ -1,5 +1,6 @@
 #include "matching/bipartite.h"
 
+#include <algorithm>
 #include <functional>
 #include <limits>
 #include <queue>
@@ -73,6 +74,34 @@ MatchingResult MaxMatching(const BipartiteGraph& graph) {
 IncrementalMatcher::IncrementalMatcher(size_t num_right)
     : right_owner_(num_right, 0), right_enabled_(num_right, true) {}
 
+void IncrementalMatcher::Record(Edit::Kind kind, size_t right,
+                                uint64_t demand, uint64_t owner,
+                                bool enabled) {
+  journal_.push_back(Edit{kind, enabled, right, demand, owner, {}});
+}
+
+void IncrementalMatcher::SetOwner(size_t right, uint64_t owner) {
+  if (journaling_) {
+    Record(Edit::Kind::kOwner, right, 0, right_owner_[right], false);
+  }
+  right_owner_[right] = owner;
+}
+
+void IncrementalMatcher::SetMatch(uint64_t demand_id, Demand* demand,
+                                  size_t right) {
+  if (journaling_) {
+    Record(Edit::Kind::kMatch, demand->matched_right, demand_id, 0, false);
+  }
+  demand->matched_right = right;
+}
+
+void IncrementalMatcher::SetEnabled(size_t right, bool enabled) {
+  if (journaling_) {
+    Record(Edit::Kind::kEnabled, right, 0, 0, right_enabled_[right]);
+  }
+  right_enabled_[right] = enabled;
+}
+
 bool IncrementalMatcher::TryAugment(uint64_t demand_id,
                                     std::vector<bool>* visited_right) {
   Demand& d = demands_.at(demand_id);
@@ -84,8 +113,8 @@ bool IncrementalMatcher::TryAugment(uint64_t demand_id,
     (*visited_right)[r] = true;
     uint64_t owner = right_owner_[r];
     if (owner == 0 || TryAugment(owner, visited_right)) {
-      right_owner_[r] = demand_id;
-      d.matched_right = r;
+      SetOwner(r, demand_id);
+      SetMatch(demand_id, &d, r);
       return true;
     }
   }
@@ -97,8 +126,11 @@ bool IncrementalMatcher::AddDemand(uint64_t demand_id,
   if (demand_id == 0) return false;  // 0 is the "free" sentinel
   auto [it, inserted] = demands_.emplace(demand_id, Demand{candidates});
   if (!inserted) return false;  // id reuse is a caller bug; refuse
+  if (journaling_) Record(Edit::Kind::kInsert, 0, demand_id, 0, false);
   std::vector<bool> visited(right_owner_.size(), false);
   if (TryAugment(demand_id, &visited)) return true;
+  // A failed search edits nothing, so the insert is the newest edit.
+  if (journaling_) journal_.pop_back();
   demands_.erase(it);
   return false;
 }
@@ -107,34 +139,93 @@ void IncrementalMatcher::RemoveDemand(uint64_t demand_id) {
   auto it = demands_.find(demand_id);
   if (it == demands_.end()) return;
   if (it->second.matched_right != kUnmatched) {
-    right_owner_[it->second.matched_right] = 0;
+    SetOwner(it->second.matched_right, 0);
+  }
+  if (journaling_) {
+    journal_.push_back(Edit{Edit::Kind::kErase, false,
+                            it->second.matched_right, demand_id, 0,
+                            std::move(it->second.candidates)});
   }
   demands_.erase(it);
 }
 
 bool IncrementalMatcher::DisableRight(size_t right) {
   if (right >= right_enabled_.size()) return true;
-  right_enabled_[right] = false;
+  SetEnabled(right, false);
   uint64_t owner = right_owner_[right];
-  right_owner_[right] = 0;
   if (owner == 0) return true;
+  SetOwner(right, 0);
   Demand& d = demands_.at(owner);
-  d.matched_right = kUnmatched;
+  SetMatch(owner, &d, kUnmatched);
   std::vector<bool> visited(right_owner_.size(), false);
   if (TryAugment(owner, &visited)) return true;
-  // Could not rehouse: restore bookkeeping so the caller can decide;
-  // the demand stays registered but unmatched.
+  // Could not rehouse: the demand stays registered but unmatched and
+  // the caller decides whether that is a violation.
   return false;
 }
 
 void IncrementalMatcher::EnableRight(size_t right) {
-  if (right < right_enabled_.size()) right_enabled_[right] = true;
+  if (right < right_enabled_.size()) SetEnabled(right, true);
 }
 
 size_t IncrementalMatcher::AddRight() {
+  if (journaling_) Record(Edit::Kind::kAddRight, 0, 0, 0, false);
   right_owner_.push_back(0);
   right_enabled_.push_back(true);
   return right_owner_.size() - 1;
+}
+
+void IncrementalMatcher::RollbackTo(size_t mark) {
+  while (journal_.size() > mark) {
+    Edit& e = journal_.back();
+    switch (e.kind) {
+      case Edit::Kind::kOwner:
+        right_owner_[e.right] = e.owner;
+        break;
+      case Edit::Kind::kMatch:
+        demands_.at(e.demand).matched_right = e.right;
+        break;
+      case Edit::Kind::kEnabled:
+        right_enabled_[e.right] = e.enabled;
+        break;
+      case Edit::Kind::kInsert:
+        demands_.erase(e.demand);
+        break;
+      case Edit::Kind::kErase:
+        demands_.emplace(e.demand, Demand{std::move(e.candidates), e.right});
+        break;
+      case Edit::Kind::kAddRight:
+        right_owner_.pop_back();
+        right_enabled_.pop_back();
+        break;
+    }
+    journal_.pop_back();
+  }
+}
+
+void IncrementalMatcher::ForgetJournal() {
+  journal_.clear();
+  journaling_ = false;
+}
+
+void IncrementalMatcher::OwnersEditedSince(
+    size_t mark, std::vector<std::pair<size_t, uint64_t>>* out) const {
+  out->clear();
+  for (size_t i = mark; i < journal_.size(); ++i) {
+    const Edit& e = journal_[i];
+    if (e.kind == Edit::Kind::kOwner) out->emplace_back(e.right, e.owner);
+  }
+  // The first edit of a right after the mark holds its owner at the
+  // mark; stable order keeps it first among that right's edits.
+  std::stable_sort(out->begin(), out->end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  out->erase(std::unique(out->begin(), out->end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first == b.first;
+                         }),
+             out->end());
 }
 
 IncrementalMatcher::Snapshot IncrementalMatcher::TakeSnapshot() const {
@@ -145,6 +236,7 @@ void IncrementalMatcher::Restore(Snapshot snapshot) {
   demands_ = std::move(snapshot.demands);
   right_owner_ = std::move(snapshot.right_owner);
   right_enabled_ = std::move(snapshot.right_enabled);
+  ForgetJournal();
 }
 
 size_t IncrementalMatcher::AssignmentOf(uint64_t demand_id) const {

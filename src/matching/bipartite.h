@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace promises {
@@ -121,9 +122,38 @@ class IncrementalMatcher {
     size_t matched_right = MatchingResult::kUnmatched;
   };
 
-  /// Opaque copy of the full matcher state. Grants run inside local
-  /// ACID transactions (§8); a rollback must restore the exact prior
-  /// matching because augmenting paths reassign unrelated demands.
+  // --- Journaled undo ---
+  //
+  // Grants run inside local ACID transactions (§8); a rollback must
+  // restore the exact prior matching because augmenting paths reassign
+  // unrelated demands. From the first Mark() until ForgetJournal()
+  // every edit is journaled: an assignment, an owner change, a demand
+  // insert or erase, a right's enable/disable and an appended right.
+  // RollbackTo undoes them in reverse, so undoing an operation costs
+  // what the operation changed, not a copy of the whole matching.
+
+  /// Starts journaling (if not already) and returns the current
+  /// journal position.
+  size_t Mark() {
+    journaling_ = true;
+    return journal_.size();
+  }
+
+  /// Undoes every edit journaled after `mark`, newest first.
+  void RollbackTo(size_t mark);
+
+  /// Drops the journal and stops journaling: no mark taken so far will
+  /// be rolled back.
+  void ForgetJournal();
+
+  /// Fills `out` with each right whose owner was edited after `mark`,
+  /// once, in right order, paired with its owner at `mark` (0 = free).
+  /// The current owner may equal it again.
+  void OwnersEditedSince(size_t mark,
+                         std::vector<std::pair<size_t, uint64_t>>* out) const;
+
+  /// Opaque copy of the full matcher state, for checkpoints. Restore
+  /// also drops the journal.
   struct Snapshot {
     std::unordered_map<uint64_t, Demand> demands;
     std::vector<uint64_t> right_owner;
@@ -139,9 +169,39 @@ class IncrementalMatcher {
   /// right vertices already on the path.
   bool TryAugment(uint64_t demand_id, std::vector<bool>* visited_right);
 
+  /// One undoable edit: enough to put the prior value back.
+  struct Edit {
+    enum class Kind : uint8_t {
+      kOwner,     // right_owner_[right] was `owner`
+      kMatch,     // demand `demand` was matched to `right`
+      kEnabled,   // right_enabled_[right] was `enabled`
+      kInsert,    // demand `demand` was inserted
+      kErase,     // demand `demand` (matched to `right`) was erased
+      kAddRight,  // a right was appended
+    };
+    Kind kind;
+    bool enabled = false;
+    size_t right = 0;
+    uint64_t demand = 0;
+    uint64_t owner = 0;
+    std::vector<size_t> candidates;  // kErase: the erased demand's
+  };
+
+  // Journaled edits of the three state fields. Record is kept out of
+  // line so the augmenting-path recursion, which calls SetOwner and
+  // SetMatch, stays small when nothing is journaled.
+  void SetOwner(size_t right, uint64_t owner);
+  void SetMatch(uint64_t demand_id, Demand* demand, size_t right);
+  void SetEnabled(size_t right, bool enabled);
+  [[gnu::noinline]] void Record(Edit::Kind kind, size_t right,
+                                uint64_t demand, uint64_t owner,
+                                bool enabled);
+
   std::unordered_map<uint64_t, Demand> demands_;
   std::vector<uint64_t> right_owner_;  // demand id or 0 (free)
   std::vector<bool> right_enabled_;
+  std::vector<Edit> journal_;
+  bool journaling_ = false;
 };
 
 }  // namespace promises

@@ -44,10 +44,16 @@ Result<bool> EvalQuantity(const Predicate& pred, int64_t quantity) {
 
 Result<bool> InstanceMatches(const Predicate& pred, const InstanceView& inst,
                              const Schema* schema) {
+  return InstanceMatches(pred, inst.properties, schema);
+}
+
+Result<bool> InstanceMatches(const Predicate& pred,
+                             const PropertyMap& properties,
+                             const Schema* schema) {
   if (pred.kind() != PredicateKind::kProperty) {
     return Status::InvalidArgument("predicate is not a property predicate");
   }
-  return EvalExpr(*pred.match(), inst.properties, schema);
+  return EvalExpr(*pred.match(), properties, schema);
 }
 
 Result<std::vector<size_t>> MatchingInstances(

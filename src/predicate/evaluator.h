@@ -37,6 +37,12 @@ Result<bool> EvalQuantity(const Predicate& pred, int64_t quantity);
 Result<bool> InstanceMatches(const Predicate& pred, const InstanceView& inst,
                              const Schema* schema = nullptr);
 
+/// Same test against an instance's properties alone, for callers that
+/// visit live records without copying them into an InstanceView.
+Result<bool> InstanceMatches(const Predicate& pred,
+                             const PropertyMap& properties,
+                             const Schema* schema = nullptr);
+
 /// Indexes into `instances` whose properties match `pred.match()`.
 Result<std::vector<size_t>> MatchingInstances(
     const Predicate& pred, const std::vector<InstanceView>& instances,

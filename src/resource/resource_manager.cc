@@ -63,6 +63,8 @@ Status ResourceManager::AddInstance(const std::string& cls,
     return Status::AlreadyExists("instance '" + id + "' exists in '" + cls +
                                  "'");
   }
+  ++c->versions.status;
+  ++c->versions.shape;
   return Status::OK();
 }
 
@@ -160,6 +162,8 @@ Status ResourceManager::RestoreInstance(const std::string& cls,
   PROMISES_RETURN_IF_ERROR(c->schema.ValidateProperties(properties));
   it->second.status = status;
   it->second.properties = std::move(properties);
+  ++c->versions.status;
+  ++c->versions.shape;
   return Status::OK();
 }
 
@@ -235,10 +239,12 @@ Status ResourceManager::SetInstanceStatus(Transaction* txn,
   }
   InstanceStatus old = it->second.status;
   it->second.status = status;
+  ++c->versions.status;
   txn->PushUndo([this, cls, id, old] {
     std::lock_guard<std::mutex> lk2(mu_);
     InstanceClass* c2 = FindClassLocked(cls);
     if (c2 == nullptr) return;
+    ++c2->versions.status;
     auto it2 = c2->instances.find(id);
     if (it2 != c2->instances.end()) it2->second.status = old;
   });
@@ -285,10 +291,12 @@ Status ResourceManager::SetInstanceProperty(Transaction* txn,
   bool existed = pit != it->second.properties.end();
   Value old = existed ? pit->second : Value();
   it->second.properties[name] = std::move(value);
+  ++c->versions.shape;
   txn->PushUndo([this, cls, id, name, existed, old] {
     std::lock_guard<std::mutex> lk2(mu_);
     InstanceClass* c2 = FindClassLocked(cls);
     if (c2 == nullptr) return;
+    ++c2->versions.shape;
     auto it2 = c2->instances.find(id);
     if (it2 == c2->instances.end()) return;
     if (existed) {
@@ -314,6 +322,32 @@ Result<std::vector<InstanceView>> ResourceManager::ListInstances(
     out.push_back(InstanceView{id, rec.status, rec.properties});
   }
   return out;
+}
+
+Status ResourceManager::ForEachInstance(Transaction* txn,
+                                        const std::string& cls,
+                                        const InstanceVisitor& fn) {
+  PROMISES_RETURN_IF_ERROR(txn->Lock(ClassKey(cls), LockMode::kShared));
+  std::lock_guard<std::mutex> lk(mu_);
+  const InstanceClass* c = FindClassLocked(cls);
+  if (c == nullptr) {
+    return Status::NotFound("instance class '" + cls + "' not found");
+  }
+  for (const auto& [id, rec] : c->instances) {
+    PROMISES_RETURN_IF_ERROR(fn(id, rec.status, rec.properties));
+  }
+  return Status::OK();
+}
+
+Result<InstanceClassVersions> ResourceManager::GetClassVersions(
+    Transaction* txn, const std::string& cls) {
+  PROMISES_RETURN_IF_ERROR(txn->Lock(ClassKey(cls), LockMode::kShared));
+  std::lock_guard<std::mutex> lk(mu_);
+  const InstanceClass* c = FindClassLocked(cls);
+  if (c == nullptr) {
+    return Status::NotFound("instance class '" + cls + "' not found");
+  }
+  return c->versions;
 }
 
 Result<int64_t> ResourceManager::CountAvailable(Transaction* txn,

@@ -19,6 +19,7 @@
 #define PROMISES_RESOURCE_RESOURCE_MANAGER_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -42,6 +43,26 @@ struct InstanceView {
   InstanceStatus status = InstanceStatus::kAvailable;
   PropertyMap properties;
 };
+
+/// Change counters of one instance class. Both only ever grow — the
+/// undo of a change bumps them again — so an unchanged value means the
+/// class reads exactly as it did when the value was taken.
+struct InstanceClassVersions {
+  /// Bumped by SetInstanceStatus and its undo, AddInstance and
+  /// RestoreInstance.
+  uint64_t status = 0;
+  /// Bumped by AddInstance, SetInstanceProperty and its undo, and
+  /// RestoreInstance: the population or a property value changed.
+  uint64_t shape = 0;
+
+  bool operator==(const InstanceClassVersions&) const = default;
+};
+
+/// Visitor over live instance records (see ResourceManager::
+/// ForEachInstance). A non-OK status stops the walk.
+using InstanceVisitor = std::function<Status(
+    const std::string& id, InstanceStatus status,
+    const PropertyMap& properties)>;
 
 /// In-memory transactional record store.
 ///
@@ -115,6 +136,17 @@ class ResourceManager {
   Result<std::vector<InstanceView>> ListInstances(Transaction* txn,
                                                   const std::string& cls);
 
+  /// Hands `fn` every instance of `cls` in id order, by const reference
+  /// and without copying. Shared class lock. The physical mutex is held
+  /// across the walk, so `fn` must not call back into the resource
+  /// manager. Returns the first non-OK status `fn` returns.
+  Status ForEachInstance(Transaction* txn, const std::string& cls,
+                         const InstanceVisitor& fn);
+
+  /// Change counters of `cls`. Shared class lock.
+  Result<InstanceClassVersions> GetClassVersions(Transaction* txn,
+                                                 const std::string& cls);
+
   /// Counts instances currently kAvailable. Shared class lock.
   Result<int64_t> CountAvailable(Transaction* txn, const std::string& cls);
 
@@ -149,6 +181,7 @@ class ResourceManager {
   struct InstanceClass {
     Schema schema;
     std::map<std::string, InstanceRecord> instances;
+    InstanceClassVersions versions;
   };
 
   // Both return nullptr when absent. Callers hold mu_.

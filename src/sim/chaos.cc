@@ -1177,25 +1177,31 @@ RestartChaosReport RunRestartChaosWorkload(const RestartChaosConfig& config) {
 
       // Probe until the node answers again — a warm-up shed counts as
       // contact (the node is up and saying "not yet"), a connection
-      // error does not.
+      // error does not. Every attempt resends the same message id, and
+      // so does every release attempt: a grant that committed after its
+      // reply timed out comes back from the node's exactly-once dedup on
+      // a later attempt, so the probe learns of every grant it got and
+      // hands it back. A shed after such a timeout is not contact yet,
+      // for the timed-out attempt may have been granted.
       TcpClientChannel probe;
       probe.set_call_timeout_ms(50);
+      Envelope ping;
+      ping.message_id = MessageId(900'000'000'000ull + ++probe_seq);
+      ping.from = "restart-probe";
+      ping.to = "restart-pm";
+      PromiseRequestHeader header;
+      header.request_id = RequestId(ping.message_id.value());
+      header.duration_ms = config.promise_duration_ms;
+      header.predicates.push_back(
+          Predicate::Quantity(items[0], CompareOp::kGe, 0));
+      ping.promise_request = std::move(header);
       bool contact = false;
+      bool maybe_granted = false;  // a sent ping went unanswered
       for (int t = 0; t < 4'000 && !contact; ++t) {
         if (!probe.connected() && !probe.Connect(port).ok()) {
           std::this_thread::sleep_for(std::chrono::microseconds(500));
           continue;
         }
-        Envelope ping;
-        ping.message_id = MessageId(900'000'000'000ull + ++probe_seq);
-        ping.from = "restart-probe";
-        ping.to = "restart-pm";
-        PromiseRequestHeader header;
-        header.request_id = RequestId(ping.message_id.value());
-        header.duration_ms = config.promise_duration_ms;
-        header.predicates.push_back(
-            Predicate::Quantity(items[0], CompareOp::kGe, 0));
-        ping.promise_request = std::move(header);
         Result<Envelope> reply = probe.Call(ping);
         if (reply.ok()) {
           contact = true;
@@ -1208,15 +1214,28 @@ RestartChaosReport RunRestartChaosWorkload(const RestartChaosConfig& config) {
             rel.to = "restart-pm";
             rel.release =
                 ReleaseHeader{{reply->promise_response->promise_id}};
-            const bool released = probe.Call(rel).ok();
+            bool released = false;
+            for (int r = 0; r < 4'000 && !released; ++r) {
+              released = (probe.connected() || probe.Connect(port).ok()) &&
+                         probe.Call(rel).ok();
+              if (!released) {
+                std::this_thread::sleep_for(std::chrono::microseconds(500));
+              }
+            }
             std::lock_guard<std::mutex> lk(report_mu);
             ++report.probe_grants;
             if (released) ++report.probe_releases;
           }
-        } else if (reply.status().code() ==
-                   StatusCode::kResourceExhausted) {
-          contact = true;
+          continue;
+        }
+        if (reply.status().code() == StatusCode::kResourceExhausted) {
+          // Refused at admission: contact, unless an earlier attempt
+          // went unanswered and may yet be granted.
+          contact = !maybe_granted;
         } else {
+          maybe_granted = true;
+        }
+        if (!contact) {
           std::this_thread::sleep_for(std::chrono::microseconds(500));
         }
       }

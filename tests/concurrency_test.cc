@@ -210,6 +210,107 @@ TEST_F(ConcurrentStressTest, ExpiryRacesGrantsAndReleases) {
 
 // Raw stripe stress on the lock manager: disjoint keys must not block
 // each other, and every lock is gone after ReleaseAll.
+// Two clients grant / book / vacate on one tentative class while a
+// third thread writes room properties straight to the resource manager
+// (committing or rolling back). The engine's version-gated sync and
+// candidate cache must stay consistent: every order that started
+// finishes cleanly and nothing is left promised.
+TEST(TentativeStressTest, GrantBookVacateRacesRawPropertyWrites) {
+  SimulatedClock clock{1'000};
+  TransactionManager tm{5'000};
+  ResourceManager rm;
+  Schema schema({{"floor", ValueType::kInt, false},
+                 {"view", ValueType::kBool, false}});
+  ASSERT_TRUE(rm.CreateInstanceClass("room", schema).ok());
+  constexpr int kRooms = 32;
+  for (int i = 0; i < kRooms; ++i) {
+    ASSERT_TRUE(rm.AddInstance("room", "room-" + std::to_string(i),
+                               {{"floor", Value(1 + i % 4)},
+                                {"view", Value(i % 2 == 0)}})
+                    .ok());
+  }
+  PromiseManagerConfig config;
+  config.name = "tentative-stress";
+  config.default_duration_ms = 60'000;
+  config.policy.Set("room", Technique::kTentative);
+  PromiseManager pm(config, &clock, &rm, &tm);
+  pm.RegisterService("booking", MakeBookingService());
+
+  constexpr int kOrders = 150;
+  std::atomic<int> granted{0};
+  std::atomic<int> failures{0};
+  std::atomic<bool> clients_done{false};
+  auto client = [&](int seed) {
+    ClientId me = pm.ClientFor("guest-" + std::to_string(seed));
+    const char* texts[] = {"count('room' where view == true) >= 1",
+                           "count('room' where floor >= 3) >= 1",
+                           "count('room' where floor <= 2) >= 2"};
+    for (int i = 0; i < kOrders; ++i) {
+      auto preds = ParsePredicateList(texts[(i + seed) % 3]);
+      auto grant = pm.RequestPromise(me, *preds);
+      if (!grant.ok() || !grant->accepted) {
+        failures.fetch_add(1);
+        continue;
+      }
+      granted.fetch_add(1);
+      ActionBody book;
+      book.service = "booking";
+      book.operation = "book";
+      book.params["class"] = Value("room");
+      book.params["promise"] =
+          Value(static_cast<int64_t>(grant->promise_id.value()));
+      EnvironmentHeader env;
+      env.entries.push_back({grant->promise_id, true});
+      auto booked = pm.Execute(me, book, env);
+      if (!booked.ok() || !booked->ok) {
+        failures.fetch_add(1);
+        (void)pm.Release(me, {grant->promise_id});
+        continue;
+      }
+      ActionBody vacate;
+      vacate.service = "booking";
+      vacate.operation = "vacate";
+      vacate.params["class"] = Value("room");
+      vacate.params["instance"] = booked->outputs.at("booked");
+      auto left = pm.Execute(me, vacate);
+      if (!left.ok() || !left->ok) failures.fetch_add(1);
+    }
+  };
+  std::thread writer([&] {
+    for (int i = 0; !clients_done.load(); ++i) {
+      auto txn = tm.Begin();
+      Status st = rm.SetInstanceProperty(
+          txn.get(), "room", "room-" + std::to_string(i % kRooms), "floor",
+          Value(1 + (i * 7) % 4));
+      if (st.ok() && i % 3 != 0) {
+        (void)txn->Commit();
+      } else {
+        (void)txn->Rollback();
+      }
+      std::this_thread::yield();
+    }
+  });
+  std::thread a(client, 0);
+  std::thread b(client, 1);
+  a.join();
+  b.join();
+  clients_done.store(true);
+  writer.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(granted.load(), 2 * kOrders);
+  EXPECT_EQ(pm.active_promises(), 0u);
+  auto txn = tm.Begin();
+  EXPECT_EQ(*rm.CountAvailable(txn.get(), "room"), kRooms);
+  ASSERT_TRUE(txn->Commit().ok());
+  // The engine still grants from a consistent matching.
+  auto after = pm.RequestPromise(
+      pm.ClientFor("late"),
+      *ParsePredicateList("count('room' where floor >= 1) >= 32"));
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(after->accepted) << after->reason;
+}
+
 TEST(LockManagerStripeStressTest, ParallelAcquireReleaseLeavesNoLocks) {
   LockManager lm;
   std::atomic<int> errors{0};

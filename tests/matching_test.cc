@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "matching/bipartite.h"
 
@@ -191,6 +193,108 @@ TEST(IncrementalMatcherTest, AgreesWithBatchMatchingOnRandomGraphs) {
       if (inc_ok) accepted.push_back(candidates);
     }
   }
+}
+
+// --- Journaled undo ----------------------------------------------------
+
+void ExpectSameState(const IncrementalMatcher::Snapshot& got,
+                     const IncrementalMatcher::Snapshot& want) {
+  EXPECT_EQ(got.right_owner, want.right_owner);
+  EXPECT_EQ(got.right_enabled, want.right_enabled);
+  ASSERT_EQ(got.demands.size(), want.demands.size());
+  for (const auto& [id, demand] : want.demands) {
+    auto it = got.demands.find(id);
+    ASSERT_NE(it, got.demands.end()) << "demand " << id;
+    EXPECT_EQ(it->second.candidates, demand.candidates) << "demand " << id;
+    EXPECT_EQ(it->second.matched_right, demand.matched_right)
+        << "demand " << id;
+  }
+}
+
+TEST(MatchingJournalTest, IncrementalMatcherJournalRollback) {
+  Rng rng(11);
+  for (int trial = 0; trial < 60; ++trial) {
+    IncrementalMatcher m(10);
+    uint64_t next = 1;
+    std::vector<uint64_t> live;
+    auto step = [&] {
+      switch (rng.UniformInt(0, 5)) {
+        case 0:
+        case 1: {
+          std::vector<size_t> candidates;
+          for (size_t r = 0; r < m.num_right(); ++r) {
+            if (rng.Chance(0.3)) candidates.push_back(r);
+          }
+          if (m.AddDemand(next, candidates)) live.push_back(next);
+          ++next;
+          break;
+        }
+        case 2:
+          if (!live.empty()) {
+            size_t i = static_cast<size_t>(
+                rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+            m.RemoveDemand(live[i]);
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+          }
+          break;
+        case 3:
+          (void)m.DisableRight(static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(m.num_right()) - 1)));
+          break;
+        case 4:
+          m.EnableRight(static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(m.num_right()) - 1)));
+          break;
+        default:
+          if (rng.Chance(0.3)) (void)m.AddRight();
+          break;
+      }
+    };
+    for (int i = 0; i < 30; ++i) step();  // history before any mark
+    const IncrementalMatcher::Snapshot outer = m.TakeSnapshot();
+    const size_t outer_mark = m.Mark();
+    for (int i = 0; i < 25; ++i) step();
+    const IncrementalMatcher::Snapshot inner = m.TakeSnapshot();
+    const size_t inner_mark = m.Mark();
+    for (int i = 0; i < 25; ++i) step();
+
+    // Every right whose owner moved is reported once, in order, with
+    // its owner at the mark.
+    std::vector<std::pair<size_t, uint64_t>> edited;
+    m.OwnersEditedSince(outer_mark, &edited);
+    for (size_t i = 1; i < edited.size(); ++i) {
+      EXPECT_LT(edited[i - 1].first, edited[i].first);
+    }
+    auto owner_at_mark = [&](size_t r) -> uint64_t {
+      return r < outer.right_owner.size() ? outer.right_owner[r] : 0;
+    };
+    for (const auto& [r, owner] : edited) EXPECT_EQ(owner, owner_at_mark(r));
+    for (size_t r = 0; r < m.num_right(); ++r) {
+      if (m.OwnerOf(r) == owner_at_mark(r)) continue;
+      EXPECT_TRUE(std::any_of(edited.begin(), edited.end(),
+                              [r](const auto& e) { return e.first == r; }))
+          << "right " << r;
+    }
+
+    m.RollbackTo(inner_mark);
+    ExpectSameState(m.TakeSnapshot(), inner);
+    m.RollbackTo(outer_mark);
+    ExpectSameState(m.TakeSnapshot(), outer);
+  }
+}
+
+TEST(MatchingJournalTest, ForgottenJournalKeepsTheMatching) {
+  IncrementalMatcher m(2);
+  const size_t mark = m.Mark();
+  ASSERT_TRUE(m.AddDemand(1, {0, 1}));
+  m.ForgetJournal();
+  m.RollbackTo(mark);  // nothing journaled is left to undo
+  EXPECT_EQ(m.AssignmentOf(1), 0u);
+  // Without a mark nothing is journaled.
+  ASSERT_TRUE(m.AddDemand(2, {0}));
+  m.RollbackTo(0);
+  EXPECT_EQ(m.AssignmentOf(1), 1u);
+  EXPECT_EQ(m.AssignmentOf(2), 0u);
 }
 
 }  // namespace

@@ -8,12 +8,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/promise_manager.h"
+#include "core/tentative_engine.h"
 #include "obs/metrics.h"
 #include "service/services.h"
 #include "txn/lock_manager.h"
@@ -1093,6 +1095,108 @@ TEST(RecoveryTest, ReplayPinsPromiseIdsRecordedOutOfOrder) {
       recovered.client, {Predicate::Quantity("stock", CompareOp::kGe, 1)});
   ASSERT_TRUE(g.ok() && g->accepted);
   EXPECT_EQ(g->promise_id.value(), 8u);
+}
+
+// Booking-shaped traffic on a tentative class (grant a window of
+// property promises, book the oldest with release_after, vacate the
+// room) replays into an engine whose state blob is byte-identical:
+// replay runs the same journaled engine code as the live path.
+TEST(RecoveryTest, TentativeBookingStreamReplaysToIdenticalEngineState) {
+  struct Hotel {
+    SimulatedClock clock{0};
+    TransactionManager tm{100};
+    ResourceManager rm;
+    std::unique_ptr<PromiseManager> pm;
+    ClientId client;
+
+    Hotel() {
+      Schema schema({{"floor", ValueType::kInt, false},
+                     {"view", ValueType::kBool, false}});
+      (void)rm.CreateInstanceClass("room", schema);
+      for (int i = 0; i < 24; ++i) {
+        (void)rm.AddInstance("room", "room-" + std::to_string(100 + i),
+                             {{"floor", Value(1 + i % 6)},
+                              {"view", Value(i % 3 != 2)}});
+      }
+      PromiseManagerConfig config;
+      config.name = "hotel";
+      config.default_duration_ms = 600'000;
+      pm = std::make_unique<PromiseManager>(config, &clock, &rm, &tm);
+      pm->RegisterService("booking", MakeBookingService());
+      client = pm->ClientFor("guest");
+    }
+  };
+  const std::vector<Predicate> shapes = {
+      Predicate::Property(
+          "room",
+          Expr::And(Expr::Compare("view", CompareOp::kEq, Value(true)),
+                    Expr::Compare("floor", CompareOp::kGe, Value(2))),
+          1),
+      Predicate::Property(
+          "room", Expr::Compare("floor", CompareOp::kGe, Value(5)), 1),
+      Predicate::Property(
+          "room",
+          Expr::Or(Expr::Compare("view", CompareOp::kEq, Value(false)),
+                   Expr::Compare("floor", CompareOp::kLe, Value(2))),
+          2),
+  };
+
+  TempLogFile file("tentative_replay");
+  Hotel original;
+  OperationLog log;
+  ASSERT_TRUE(log.Open(file.path()).ok());
+  ASSERT_TRUE(original.pm->AttachLog(&log).ok());
+  Rng rng(5);
+  std::deque<PromiseId> window;
+  for (int order = 0; order < 200; ++order) {
+    original.clock.Advance(3);
+    auto grant = original.pm->RequestPromise(
+        original.client,
+        {shapes[static_cast<size_t>(rng.UniformInt(0, 2))]});
+    ASSERT_TRUE(grant.ok());
+    if (grant->accepted) window.push_back(grant->promise_id);
+    if (window.size() < 6) continue;
+    PromiseId oldest = window.front();
+    window.pop_front();
+    ActionBody book;
+    book.service = "booking";
+    book.operation = "book";
+    book.params["class"] = Value("room");
+    book.params["promise"] = Value(static_cast<int64_t>(oldest.value()));
+    EnvironmentHeader env;
+    env.entries.push_back({oldest, true});
+    auto booked = original.pm->Execute(original.client, book, env);
+    ASSERT_TRUE(booked.ok() && booked->ok);
+    ActionBody vacate;
+    vacate.service = "booking";
+    vacate.operation = "vacate";
+    vacate.params["class"] = Value("room");
+    vacate.params["instance"] = booked->outputs.at("booked");
+    auto left = original.pm->Execute(original.client, vacate);
+    ASSERT_TRUE(left.ok() && left->ok);
+  }
+  log.Close();
+  const std::string live = original.pm->EngineIfExists("room")->SerializeState();
+  EXPECT_NE(
+      static_cast<TentativeEngine*>(original.pm->EngineIfExists("room"))
+          ->reallocations(),
+      0u);
+
+  auto records = OperationLog::ReadAll(file.path());
+  ASSERT_TRUE(records.ok());
+  Hotel recovered;
+  ASSERT_TRUE(recovered.pm->ReplayLog(*records, &recovered.clock).ok());
+  ASSERT_NE(recovered.pm->EngineIfExists("room"), nullptr);
+  EXPECT_EQ(recovered.pm->EngineIfExists("room")->SerializeState(), live);
+  EXPECT_EQ(recovered.pm->active_promises(), original.pm->active_promises());
+  auto ta = original.tm.Begin();
+  auto tb = recovered.tm.Begin();
+  auto rooms_a = *original.rm.ListInstances(ta.get(), "room");
+  auto rooms_b = *recovered.rm.ListInstances(tb.get(), "room");
+  ASSERT_EQ(rooms_a.size(), rooms_b.size());
+  for (size_t i = 0; i < rooms_a.size(); ++i) {
+    EXPECT_EQ(rooms_a[i].status, rooms_b[i].status) << rooms_a[i].id;
+  }
 }
 
 }  // namespace
