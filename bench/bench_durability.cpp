@@ -78,11 +78,10 @@ DurabilityPoint RunOne(const std::string& mode, int workers) {
     gc.use_fdatasync = true;  // both durable modes pay for real syncs
     gc.mode = mode == "group-commit" ? promises::DurabilityMode::kGroup
                                      : promises::DurabilityMode::kSync;
-    // Batch up to the in-flight population: the formation window ends
-    // as soon as every concurrent committer has joined the group.
+    // Batch up to the in-flight population, no linger: the group is
+    // every committer that queued during the previous sync.
     gc.max_batch = static_cast<size_t>(workers);
-    gc.max_delay_ms = 0;       // no simulated-time linger
-    gc.group_window_us = 150;  // capped at about one sync's worth
+    gc.max_delay_ms = 0;
     st = log.StartGroupCommit(gc, &clock);
     if (st.ok()) st = pm.AttachLog(&log);
     if (!st.ok()) {

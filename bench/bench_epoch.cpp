@@ -122,11 +122,10 @@ EpochPoint RunOne(const std::string& path_mode, int clients) {
   // milliseconds so one sync covers many records (MySQL/Postgres group
   // commit tunes delays in this range). The per-op striped path pays
   // this latency on every operation's durable ack; the epoch path
-  // crosses it once per epoch and kicks the writer at the batch
+  // crosses it once per epoch and kicks the flush leader at the batch
   // boundary — that asymmetry is the amortization under test, not a
   // handicap (identical log config on both paths).
   gc.max_delay_ms = 2;
-  gc.group_window_us = 150;
   st = log.StartGroupCommit(gc, &clock);
   if (st.ok()) st = pm.AttachLog(&log);
   if (!st.ok()) {

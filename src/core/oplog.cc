@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 
@@ -80,6 +81,39 @@ uint32_t FnvFold(uint32_t sum, std::string_view bytes) {
     sum *= 16777619u;
   }
   return sum;
+}
+
+// The header fields a v2/v3 record checksum covers, formatted once:
+// "<length>|<sequence>|<timestamp>|<promise-id>|". A v3 record splices
+// its checksum in at `length_end`, just past "<length>|".
+struct RecordHeader {
+  char bytes[4 * 21];  // four fields of at most 20 chars, each + '|'
+  size_t size = 0;
+  size_t length_end = 0;
+
+  template <typename Int>
+  void Append(Int value) {
+    char* end = std::to_chars(bytes + size, bytes + sizeof(bytes), value).ptr;
+    *end = '|';
+    size = static_cast<size_t>(end - bytes) + 1;
+  }
+  std::string_view view() const { return {bytes, size}; }
+};
+
+RecordHeader FormatHeader(size_t length, uint64_t sequence,
+                          Timestamp timestamp, uint64_t promise_id) {
+  RecordHeader header;
+  header.Append(length);
+  header.length_end = header.size;
+  header.Append(sequence);
+  header.Append(timestamp);
+  header.Append(promise_id);
+  return header;
+}
+
+// A flush leader lingers until the group holds this many records.
+size_t LingerBatch(const GroupCommitConfig& config) {
+  return std::min(config.max_batch, config.queue_capacity);
 }
 
 enum class ParseStatus { kOk, kTorn, kBadRecord, kSequenceRegression };
@@ -447,13 +481,16 @@ Status OperationLog::Open(const std::string& path,
   durable_sequence_ = scan.last_sequence;
   promise_id_watermark_ = scan.max_promise_id;
   last_timestamp_ = scan.last_timestamp;
+  unwaited_sequence_ = 0;
+  kick_ = false;
   failed_ = Status::OK();
   return Status::OK();
 }
 
 void OperationLog::Close() {
   StopGroupCommit();
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  durable_cv_.wait(lock, [this] { return !flushing_; });
   if (file_ != nullptr) {
     std::fclose(file_);
     file_ = nullptr;
@@ -466,37 +503,24 @@ bool OperationLog::IsOpen() const {
 }
 
 void OperationLog::Abandon() {
-  bool join_writer = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Poison first: blocked appenders and WaitDurable callers must see
-    // a failure, not a success, for the records the crash ate — their
-    // clients re-send and the recovered world re-executes them.
-    failed_ = Status::Unavailable("log abandoned (simulated crash)");
-    queue_.clear();
-    if (writer_running_) {
-      stopping_ = true;
-      join_writer = true;
-    }
-  }
-  work_cv_.notify_all();
+  std::unique_lock<std::mutex> lock(mu_);
+  // Poison first: blocked appenders and WaitDurable callers must see
+  // a failure, not a success, for the records the crash ate — their
+  // clients re-send and the recovered world re-executes them.
+  failed_ = Status::Unavailable("log abandoned (simulated crash)");
+  queue_.clear();
+  Metrics().queue_depth->Set(0);
+  config_.mode = DurabilityMode::kSync;
   durable_cv_.notify_all();
-  space_cv_.notify_all();
-  if (join_writer && writer_.joinable()) writer_.join();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    writer_running_ = false;
-    stopping_ = false;
-    config_.mode = DurabilityMode::kSync;
-    if (file_ != nullptr) {
-      // No unflushed stdio data can exist here: every written group
-      // ends in fflush, and the queue above was dropped unwritten.
-      std::fclose(file_);
-      file_ = nullptr;
-    }
+  // A group already handed to the kernel completes (a crash does not
+  // unwrite it); the file closes only once its leader is out.
+  durable_cv_.wait(lock, [this] { return !flushing_; });
+  if (file_ != nullptr) {
+    // No unflushed stdio data can exist here: every written group
+    // ends in fflush, and the queue above was dropped unwritten.
+    std::fclose(file_);
+    file_ = nullptr;
   }
-  durable_cv_.notify_all();
-  space_cv_.notify_all();
 }
 
 Status OperationLog::StartGroupCommit(const GroupCommitConfig& config,
@@ -508,39 +532,27 @@ Status OperationLog::StartGroupCommit(const GroupCommitConfig& config,
   if (file_ == nullptr) {
     return Status::FailedPrecondition("operation log is not open");
   }
-  if (writer_running_) {
-    return Status::FailedPrecondition("group-commit writer already running");
+  if (config_.mode != DurabilityMode::kSync) {
+    return Status::FailedPrecondition("group commit already running");
   }
   config_ = config;
   config_.max_batch = std::max<size_t>(1, config_.max_batch);
   config_.queue_capacity = std::max<size_t>(1, config_.queue_capacity);
   clock_ = clock;
-  if (config_.mode == DurabilityMode::kSync) return Status::OK();
-  stopping_ = false;
-  writer_running_ = true;
-  writer_ = std::thread([this] { WriterLoop(); });
   return Status::OK();
 }
 
 void OperationLog::StopGroupCommit() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!writer_running_) {
-      config_.mode = DurabilityMode::kSync;
-      return;
-    }
-    stopping_ = true;
+  std::unique_lock<std::mutex> lock(mu_);
+  if (config_.mode == DurabilityMode::kSync) return;
+  // Drain what is queued in whole groups, cutting any linger short,
+  // then go synchronous.
+  if (!queue_.empty()) {
+    kick_ = true;
+    durable_cv_.notify_all();
   }
-  work_cv_.notify_all();
-  writer_.join();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    writer_running_ = false;
-    stopping_ = false;
-    config_.mode = DurabilityMode::kSync;
-  }
-  durable_cv_.notify_all();
-  space_cv_.notify_all();
+  FlushThroughLocked(lock, next_sequence_ - 1, /*linger=*/false);
+  config_.mode = DurabilityMode::kSync;
 }
 
 uint32_t OperationLog::Checksum(const std::string& payload) {
@@ -551,33 +563,30 @@ uint32_t OperationLog::RecordChecksum(size_t length, uint64_t sequence,
                                       Timestamp timestamp,
                                       uint64_t promise_id,
                                       const std::string& payload) {
-  uint32_t sum = FnvFold(2166136261u, std::to_string(length));
-  sum = FnvFold(sum, "|");
-  sum = FnvFold(sum, std::to_string(sequence));
-  sum = FnvFold(sum, "|");
-  sum = FnvFold(sum, std::to_string(timestamp));
-  sum = FnvFold(sum, "|");
-  sum = FnvFold(sum, std::to_string(promise_id));
-  sum = FnvFold(sum, "|");
-  return FnvFold(sum, payload);
+  RecordHeader header = FormatHeader(length, sequence, timestamp, promise_id);
+  return FnvFold(FnvFold(2166136261u, header.view()), payload);
 }
 
 std::string OperationLog::EncodeRecord(uint64_t sequence,
                                        Timestamp timestamp,
                                        uint64_t promise_id,
                                        const std::string& payload) {
-  std::string record = "v3|";
-  record.append(std::to_string(payload.size()))
+  RecordHeader header =
+      FormatHeader(payload.size(), sequence, timestamp, promise_id);
+  char checksum[10];
+  char* checksum_end =
+      std::to_chars(checksum, checksum + sizeof(checksum),
+                    FnvFold(FnvFold(2166136261u, header.view()), payload))
+          .ptr;
+  // v3|<length>|<checksum>|<sequence>|<timestamp>|<promise-id>|<payload>\n
+  std::string record;
+  record.reserve(3 + header.size + sizeof(checksum) + 1 + payload.size() + 1);
+  record.append("v3|")
+      .append(header.bytes, header.length_end)
+      .append(checksum, checksum_end)
       .append("|")
-      .append(std::to_string(RecordChecksum(payload.size(), sequence,
-                                            timestamp, promise_id, payload)))
-      .append("|")
-      .append(std::to_string(sequence))
-      .append("|")
-      .append(std::to_string(timestamp))
-      .append("|")
-      .append(std::to_string(promise_id))
-      .append("|")
+      .append(header.bytes + header.length_end,
+              header.size - header.length_end)
       .append(payload)
       .append("\n");
   return record;
@@ -609,77 +618,55 @@ Status OperationLog::WriteBuffer(const std::string& buf,
   return Status::OK();
 }
 
-Result<uint64_t> OperationLog::AppendSyncLocked(Timestamp timestamp,
-                                                uint64_t promise_id,
-                                                const std::string& payload) {
-  uint64_t sequence = next_sequence_++;
-  last_timestamp_ = std::max(last_timestamp_, timestamp);
-  promise_id_watermark_ = std::max(promise_id_watermark_, promise_id);
-  Status st = WriteBuffer(EncodeRecord(sequence, timestamp, promise_id,
-                                       payload),
-                          config_.use_fdatasync);
-  if (!st.ok()) {
-    // Poison the log: any record written after a torn tail would be
-    // unreachable to recovery's prefix scan.
-    failed_ = st;
-    Metrics().append_errors_total->Increment();
-    return st;
+Result<uint64_t> OperationLog::AppendLocked(std::unique_lock<std::mutex>& lock,
+                                            Clock* clock, Timestamp timestamp,
+                                            uint64_t promise_id,
+                                            const std::string& payload) {
+  if (file_ == nullptr) {
+    return Status::FailedPrecondition("operation log is not open");
   }
-  durable_sequence_ = sequence;
-  Metrics().records_total->Increment();
-  Metrics().groups_total->Increment();
-  Metrics().group_size->Observe(1);
-  return sequence;
-}
-
-Result<uint64_t> OperationLog::EnqueueLocked(
-    std::unique_lock<std::mutex>& lock, Timestamp timestamp,
-    uint64_t promise_id, const std::string& payload) {
-  space_cv_.wait(lock, [this] {
-    return queue_.size() < config_.queue_capacity || !failed_.ok() ||
-           !writer_running_;
-  });
+  // A full queue waits for the flush in progress, or writes a group.
+  while (queue_.size() >= config_.queue_capacity && failed_.ok()) {
+    if (flushing_) {
+      durable_cv_.wait(lock);
+    } else {
+      LeadFlushLocked(lock, /*linger=*/false);
+    }
+  }
   if (!failed_.ok()) return failed_;
-  if (!writer_running_) {
-    // Drop-to-sync fallback: the writer stopped while we waited.
-    return AppendSyncLocked(timestamp, promise_id, payload);
-  }
+  // The timestamp is read inside the sequencing critical section (and
+  // after any wait for room) so it is monotone in log order — replay
+  // advances the clock per record and must never travel backwards.
+  if (clock != nullptr) timestamp = clock->Now();
+  const bool lingering = config_.mode == DurabilityMode::kGroup &&
+                         config_.max_delay_ms > 0;
   uint64_t sequence = next_sequence_++;
   last_timestamp_ = std::max(last_timestamp_, timestamp);
   promise_id_watermark_ = std::max(promise_id_watermark_, promise_id);
   queue_.push_back(Pending{sequence,
                            EncodeRecord(sequence, timestamp, promise_id,
                                         payload),
-                           clock_->Now()});
+                           lingering ? clock_->Now() : 0});
   Metrics().queue_depth->Set(static_cast<int64_t>(queue_.size()));
-  // Wake the writer only at the transitions it acts on: work arriving
-  // on an empty queue, or a batch filling during the formation window.
-  // Intermediate enqueues would wake it just to re-check a predicate
-  // that cannot have flipped — pure scheduling overhead on the commit
-  // path.
-  if (queue_.size() == 1 || queue_.size() >= config_.max_batch) {
-    work_cv_.notify_one();
+  if (config_.mode == DurabilityMode::kSync) {
+    FlushThroughLocked(lock, sequence, /*linger=*/false);
+    if (durable_sequence_ < sequence) {
+      return failed_.ok() ? Status::Unavailable("log closed mid-append")
+                          : failed_;
+    }
+  } else if (flushing_ && queue_.size() == LingerBatch(config_)) {
+    durable_cv_.notify_all();  // the lingering leader's batch is full
   }
   return sequence;
 }
 
 Status OperationLog::Append(Timestamp timestamp,
                             const std::string& payload) {
-  uint64_t sequence = 0;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (file_ == nullptr) {
-      return Status::FailedPrecondition("operation log is not open");
-    }
-    if (!failed_.ok()) return failed_;
-    Result<uint64_t> seq =
-        writer_running_ ? EnqueueLocked(lock, timestamp, /*promise_id=*/0,
-                                        payload)
-                        : AppendSyncLocked(timestamp, /*promise_id=*/0,
-                                           payload);
-    PROMISES_RETURN_IF_ERROR(seq.status());
-    sequence = *seq;
-  }
+  std::unique_lock<std::mutex> lock(mu_);
+  PROMISES_ASSIGN_OR_RETURN(
+      uint64_t sequence,
+      AppendLocked(lock, nullptr, timestamp, /*promise_id=*/0, payload));
+  lock.unlock();
   return WaitDurable(sequence);
 }
 
@@ -687,46 +674,115 @@ Result<uint64_t> OperationLog::AppendOperation(Clock* clock,
                                                const std::string& payload,
                                                uint64_t promise_id) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (file_ == nullptr) {
-    return Status::FailedPrecondition("operation log is not open");
-  }
-  if (!failed_.ok()) return failed_;
-  // The timestamp is read inside the sequencing critical section so
-  // it is monotone in log order — replay advances the clock per
-  // record and must never travel backwards.
-  Timestamp now = clock != nullptr ? clock->Now() : 0;
-  return writer_running_ ? EnqueueLocked(lock, now, promise_id, payload)
-                         : AppendSyncLocked(now, promise_id, payload);
+  return AppendLocked(lock, clock, 0, promise_id, payload);
 }
 
 Status OperationLog::WaitDurable(uint64_t sequence) {
   int64_t start_us = SteadyNowUs();
   std::unique_lock<std::mutex> lock(mu_);
   if (config_.mode == DurabilityMode::kAsync) {
-    // Fire-and-forget: the caller explicitly opted out of the ack.
+    // Fire-and-forget: the caller opted out of the ack, not the write.
+    lock.unlock();
+    FlushWithoutWaiting(sequence);
     return Status::OK();
   }
-  durable_cv_.wait(lock, [this, sequence] {
-    return durable_sequence_ >= sequence || !failed_.ok() ||
-           !writer_running_;
-  });
+  FlushThroughLocked(lock, sequence, /*linger=*/true);
   Metrics().commit_wait_us->Observe(SteadyNowUs() - start_us);
   if (durable_sequence_ >= sequence) return Status::OK();
   if (!failed_.ok()) return failed_;
-  return Status::Unavailable("group-commit writer stopped before record " +
-                             std::to_string(sequence) + " became durable");
+  return Status::Unavailable("log record " + std::to_string(sequence) +
+                             " is not queued: the log was reopened before "
+                             "it became durable");
+}
+
+void OperationLog::FlushWithoutWaiting(uint64_t sequence) {
+  std::unique_lock<std::mutex> lock(mu_);
+  // A flush in progress re-checks unwaited_sequence_ before it ends.
+  unwaited_sequence_ = std::max(unwaited_sequence_, sequence);
+  if (!flushing_ && durable_sequence_ < sequence) {
+    LeadFlushLocked(lock, /*linger=*/false);
+  }
+}
+
+void OperationLog::FlushThroughLocked(std::unique_lock<std::mutex>& lock,
+                                      uint64_t sequence, bool linger) {
+  while (durable_sequence_ < sequence) {
+    if (flushing_) {
+      // Even a failed log waits out the flush in progress: the record
+      // may be in its group, and the answer must match the file.
+      durable_cv_.wait(lock);
+    } else if (!failed_.ok() || queue_.empty()) {
+      return;  // lost with the log, or never queued
+    } else {
+      LeadFlushLocked(lock, linger);
+    }
+  }
+}
+
+void OperationLog::LeadFlushLocked(std::unique_lock<std::mutex>& lock,
+                                   bool linger) {
+  flushing_ = true;
+  // Linger: grow the group until it is full or its oldest record has
+  // waited max_delay_ms on the injected clock. The wait_for quantum is
+  // real time so a SimulatedClock advanced by another thread is
+  // noticed promptly; a full batch or KickFlush ends it early.
+  while (linger && config_.mode == DurabilityMode::kGroup &&
+         config_.max_delay_ms > 0 && !kick_ && failed_.ok() &&
+         !queue_.empty() && queue_.size() < LingerBatch(config_) &&
+         clock_->Now() - queue_.front().enqueued_at < config_.max_delay_ms) {
+    durable_cv_.wait_for(lock, std::chrono::microseconds(200));
+  }
+  const bool use_fdatasync = config_.use_fdatasync;
+  // Sync mode writes (and syncs) every record on its own.
+  const size_t batch =
+      config_.mode == DurabilityMode::kSync ? 1 : config_.max_batch;
+  while (failed_.ok() && !queue_.empty()) {
+    size_t n = std::min(queue_.size(), batch);
+    uint64_t last_sequence = 0;
+    group_buf_.clear();
+    for (size_t i = 0; i < n; ++i) {
+      group_buf_ += queue_.front().encoded;
+      last_sequence = queue_.front().sequence;
+      queue_.pop_front();
+    }
+    // A kick covers everything queued at the boundary; once the queue
+    // drains the next group forms (and lingers) normally.
+    if (queue_.empty()) kick_ = false;
+    Metrics().queue_depth->Set(static_cast<int64_t>(queue_.size()));
+    io_in_flight_ = true;
+    lock.unlock();
+    Status st = WriteBuffer(group_buf_, use_fdatasync);
+    lock.lock();
+    io_in_flight_ = false;
+    if (st.ok()) {
+      durable_sequence_ = last_sequence;
+      Metrics().records_total->Increment(n);
+      Metrics().groups_total->Increment();
+      Metrics().group_size->Observe(static_cast<int64_t>(n));
+    } else {
+      // Every queued record is past the torn tail: report it lost.
+      failed_ = st;
+      Metrics().append_errors_total->Increment();
+      queue_.clear();
+      Metrics().queue_depth->Set(0);
+    }
+    // Nobody waits on an unwaited record, so its flush cannot be left
+    // to the next waiter.
+    if (unwaited_sequence_ <= durable_sequence_) break;
+    durable_cv_.notify_all();
+  }
+  flushing_ = false;
+  durable_cv_.notify_all();
 }
 
 void OperationLog::KickFlush() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Nothing queued means everything sequenced is written or in the
-    // writer's hands already; setting the kick would only rob the NEXT
-    // group of its formation window.
-    if (!writer_running_ || queue_.empty()) return;
-    kick_ = true;
-  }
-  work_cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  // Nothing queued means everything sequenced is written or in a
+  // leader's hands already; setting the kick would only rob the NEXT
+  // group of its linger.
+  if (config_.mode != DurabilityMode::kGroup || queue_.empty()) return;
+  kick_ = true;
+  if (flushing_) durable_cv_.notify_all();
 }
 
 Result<LogCut> OperationLog::CutPoint() const {
@@ -753,7 +809,7 @@ Status OperationLog::TruncateBefore(uint64_t lsn) {
         "cannot compact before LSN " + std::to_string(lsn) +
         ": durable prefix ends at " + std::to_string(durable_sequence_));
   }
-  // Quiesce the writer's unlocked IO window. Queued records are
+  // Wait out a flush leader's unlocked write. Queued records are
   // untouched — they all have sequence > durable_sequence_ >= lsn.
   durable_cv_.wait(lock, [this] { return !io_in_flight_; });
   if (!failed_.ok()) return failed_;
@@ -843,80 +899,6 @@ Status OperationLog::TruncateBefore(uint64_t lsn) {
   Metrics().compacted_bytes_total->Increment(
       static_cast<int64_t>(tail_offset));
   return Status::OK();
-}
-
-void OperationLog::WriterLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stopping_) return;
-      continue;
-    }
-    if (!failed_.ok()) {
-      // A previous group failed: every queued record is past the torn
-      // tail and must be reported lost, not written.
-      queue_.clear();
-      Metrics().queue_depth->Set(0);
-      durable_cv_.notify_all();
-      space_cv_.notify_all();
-      work_cv_.wait(lock, [this] { return stopping_; });
-      return;
-    }
-    // Linger: grow the group until it is full or the oldest queued
-    // record has waited max_delay_ms on the injected clock. The
-    // wait_for quantum is real time so a SimulatedClock advanced by
-    // another thread is noticed promptly.
-    while (!stopping_ && !kick_ && config_.max_delay_ms > 0 &&
-           queue_.size() < config_.max_batch &&
-           clock_->Now() - queue_.front().enqueued_at < config_.max_delay_ms) {
-      work_cv_.wait_for(lock, std::chrono::microseconds(200));
-    }
-    // Batch-formation grace: committers racing the flush get a short
-    // real-time window to join the group before the sync is paid. A
-    // batch filling up notifies work_cv_ and ends the window early,
-    // as does a KickFlush batch-boundary signal.
-    if (config_.group_window_us > 0) {
-      int64_t deadline = SteadyNowUs() + config_.group_window_us;
-      int64_t remaining = config_.group_window_us;
-      while (!stopping_ && !kick_ && queue_.size() < config_.max_batch &&
-             remaining > 0) {
-        work_cv_.wait_for(lock, std::chrono::microseconds(remaining));
-        remaining = deadline - SteadyNowUs();
-      }
-    }
-    size_t n = std::min(queue_.size(), config_.max_batch);
-    std::string buf;
-    uint64_t last_sequence = 0;
-    for (size_t i = 0; i < n; ++i) {
-      buf += queue_.front().encoded;
-      last_sequence = queue_.front().sequence;
-      queue_.pop_front();
-    }
-    // A kick covers everything queued at the boundary; once the queue
-    // drains the next group forms (and lingers) normally.
-    if (queue_.empty()) kick_ = false;
-    Metrics().queue_depth->Set(static_cast<int64_t>(queue_.size()));
-    io_in_flight_ = true;
-    lock.unlock();
-    Status st = WriteBuffer(buf, config_.use_fdatasync);
-    lock.lock();
-    io_in_flight_ = false;
-    if (st.ok()) {
-      durable_sequence_ = last_sequence;
-      Metrics().records_total->Increment(n);
-      Metrics().groups_total->Increment();
-      Metrics().group_size->Observe(static_cast<int64_t>(n));
-    } else {
-      failed_ = st;
-      Metrics().append_errors_total->Increment();
-      queue_.clear();
-      Metrics().queue_depth->Set(0);
-    }
-    durable_cv_.notify_all();
-    space_cv_.notify_all();
-    if (stopping_ && (queue_.empty() || !failed_.ok())) return;
-  }
 }
 
 Result<std::vector<LogRecord>> OperationLog::ReadAll(

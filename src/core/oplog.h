@@ -15,11 +15,14 @@
 // Durability is decoupled from ordering via classic WAL group commit:
 // AppendOperation() is the sequencing point — it assigns the log
 // sequence number and enqueues the encoded record atomically — and
-// WaitDurable() blocks until a background writer has coalesced the
-// caller's group into a single fwrite + fflush (and optionally
-// fdatasync). Without a running group-commit writer both calls
-// degrade to the synchronous per-record path, which stays the
-// drop-to-sync fallback when the writer fails.
+// WaitDurable() returns once the caller's record is durable. The log
+// owns no thread: a waiter that finds no flush in progress becomes
+// the flush leader and writes up to `max_batch` queued records with a
+// single fwrite + fflush (and optionally fdatasync) outside the
+// log's mutex; every other waiter blocks until a leader covers its
+// record. The group is whoever queued while the previous flush was
+// in progress. In sync mode (group commit not started, or stopped)
+// the appender leads the flush of its own record before returning.
 //
 // Record format, current version (v3):
 //   v3|<length>|<checksum>|<sequence>|<timestamp>|<promise-id>|<payload>\n
@@ -56,7 +59,6 @@
 #include <deque>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -129,17 +131,21 @@ struct LogCut {
 
 /// How Append/WaitDurable trade latency for durability.
 enum class DurabilityMode {
-  kSync,   ///< every record written + flushed inline (no batching)
-  kGroup,  ///< records queue; a writer thread flushes whole groups
-  kAsync,  ///< records queue; WaitDurable returns without waiting
+  kSync,   ///< each record written + flushed on its own before return
+  kGroup,  ///< records queue; a waiting committer flushes whole groups
+  kAsync,  ///< records queue; WaitDurable flushes without waiting
 };
 
-/// Knobs for the group-commit writer. `max_delay_ms` is measured on
-/// the injected Clock (simulated time in tests, wall time in prod):
-/// a group is flushed when it reaches `max_batch` records or its
-/// oldest record has waited `max_delay_ms`, whichever comes first.
-/// With `max_delay_ms == 0` the writer flushes whatever is queued as
-/// soon as it wakes (lowest latency, still coalescing under load).
+/// Group-commit knobs. A flush leader takes at most `max_batch`
+/// records per write. `max_delay_ms` is the leader's linger, measured
+/// on the injected Clock (simulated time in tests, wall time in
+/// prod): before writing, the leader holds the group open until it
+/// reaches `max_batch` records, its oldest record has waited
+/// `max_delay_ms`, or KickFlush() ends the linger. With
+/// `max_delay_ms == 0` (the default) the leader writes at once, and
+/// the group is whoever queued while the previous flush was in
+/// progress. `queue_capacity` bounds the queue: an appender that finds
+/// it full waits for the flush in progress or writes a group itself.
 struct GroupCommitConfig {
   DurabilityMode mode = DurabilityMode::kGroup;
   size_t max_batch = 128;
@@ -148,11 +154,6 @@ struct GroupCommitConfig {
   /// When true every flushed group is also fdatasync'd, extending
   /// durability from "survives the process" to "survives the OS".
   bool use_fdatasync = false;
-  /// Batch-formation grace: before paying for a sync the writer holds
-  /// the group open this long (steady clock, not the injected one) so
-  /// committers racing the flush can join it. 0 disables; keep it
-  /// well under the sync cost or it dominates latency.
-  int64_t group_window_us = 0;
 };
 
 /// Append-only operation log backed by a file. Appends are
@@ -181,21 +182,20 @@ class OperationLog {
   /// Simulated SIGKILL: poisons the log with kUnavailable, drops every
   /// queued-but-unwritten record (the group dies mid-formation, exactly
   /// as a crash would lose it), wakes and fails all blocked WaitDurable
-  /// callers, joins the writer and closes the file without the final
-  /// drain Close() performs. A group whose fwrite+fflush was already
-  /// in flight completes first — the kernel flushes what it was handed
-  /// even when the process dies. The object is reusable: a later
-  /// Open() on the same path resumes from the durable prefix, which is
-  /// what crash-restart recovery replays.
+  /// callers and closes the file without the final drain Close()
+  /// performs. A group whose fwrite+fflush was already in flight
+  /// completes first — the kernel flushes what it was handed even when
+  /// the process dies — and its committers see it durable. The object
+  /// is reusable: a later Open() on the same path resumes from the
+  /// durable prefix, which is what crash-restart recovery replays.
   void Abandon();
 
-  /// Starts the group-commit writer thread. `clock` is used for the
-  /// max-delay linger and must outlive the writer. Idempotent error
-  /// if already running.
+  /// Switches the log to `config.mode`. `clock` is used for the
+  /// max-delay linger and must outlive group commit. Error if group
+  /// commit is already on.
   Status StartGroupCommit(const GroupCommitConfig& config, Clock* clock);
-  /// Drains the queue, flushes the final group and joins the writer.
-  /// After this, appends fall back to the synchronous path. No-op
-  /// when the writer is not running.
+  /// Flushes every queued record and switches the log back to the
+  /// synchronous path. No-op in sync mode.
   void StopGroupCommit();
 
   /// Appends one record with full commit semantics: sequences,
@@ -206,26 +206,34 @@ class OperationLog {
 
   /// The sequencing point: atomically assigns the next log sequence
   /// number, stamps the record with `clock->Now()` and enqueues it
-  /// (group/async mode) or writes it inline (sync mode / writer not
-  /// running). Returns the assigned sequence. The caller must invoke
-  /// WaitDurable(seq) after releasing its operation locks to get the
-  /// durable ack. `promise_id` is the id the operation consumed (0 if
-  /// none); it is persisted for replay pinning.
+  /// (group/async mode) or writes it before returning (sync mode).
+  /// Returns the assigned sequence. In group/async mode the caller must
+  /// hand the record on after releasing its operation locks: with
+  /// WaitDurable(seq) for the durable ack, or with
+  /// FlushWithoutWaiting(seq) when nobody waits for it. `promise_id`
+  /// is the id the operation consumed (0 if none); it is persisted for
+  /// replay pinning.
   Result<uint64_t> AppendOperation(Clock* clock, const std::string& payload,
                                    uint64_t promise_id);
 
-  /// Blocks until record `sequence` is durable (group mode), returns
-  /// immediately in sync/async mode. Fails if the writer (or a prior
-  /// sync write) failed before reaching `sequence`.
+  /// Returns once record `sequence` is durable, leading flushes while
+  /// no other caller is flushing. Fails if a write failed before
+  /// reaching `sequence`. In async mode it is FlushWithoutWaiting and
+  /// always returns OK.
   Status WaitDurable(uint64_t sequence);
 
-  /// Batch-boundary signal: tells the group-commit writer that no
-  /// further committers are coming for the current group, so it should
-  /// flush what is queued instead of lingering out the remainder of
-  /// its formation window. The epoch executor calls this when an epoch
-  /// seals — the epoch IS the group, so holding the window open only
-  /// delays the epoch's single durable wait. No-op when the writer is
-  /// not running or nothing is queued.
+  /// For a record nobody waits on: leads a flush (no linger) when none
+  /// is in progress, otherwise returns at once and the flush in
+  /// progress writes the record before it ends. Either way the record
+  /// reaches the file without a later commit. A write failure poisons
+  /// the log, which the next append reports.
+  void FlushWithoutWaiting(uint64_t sequence);
+
+  /// Batch-boundary signal: no further committers are coming for the
+  /// current group, so a flush leader should write what is queued
+  /// instead of lingering out `max_delay_ms`. The epoch executor calls
+  /// this when an epoch seals — the epoch IS the group. No-op when
+  /// nothing is queued or group commit is off.
   void KickFlush();
 
   /// Crash-injection hook for recovery tests: the NEXT physical write
@@ -247,8 +255,8 @@ class OperationLog {
   /// compaction marker for `lsn` followed by the records with
   /// sequence > lsn, preserved byte-for-byte. Requires lsn to be
   /// durable already (the caller checkpoints, waits for durability,
-  /// then truncates). Quiesces the group-commit writer's in-flight IO
-  /// but never loses queued records: sequencing state is untouched.
+  /// then truncates). Waits out a flush leader's in-flight write but
+  /// never loses queued records: sequencing state is untouched.
   Status TruncateBefore(uint64_t lsn);
 
   /// Reads every intact record of the log at `path` in one streaming
@@ -288,42 +296,50 @@ class OperationLog {
                                   uint64_t promise_id,
                                   const std::string& payload);
   // Raw IO: writes `buf`, flushes (+fdatasync when requested) and
-  // honors a pending torn-write injection. Does not touch failed_;
-  // the caller records the outcome under mu_. The sync path calls it
-  // holding mu_; the writer thread calls it unlocked (it is the only
-  // writer while running, and file_ is stable between Open/Close).
+  // honors a pending torn-write injection. Called by the flush leader
+  // without mu_; io_in_flight_ keeps file_ stable meanwhile.
   Status WriteBuffer(const std::string& buf, bool use_fdatasync);
-  // Sequences + writes one record inline (sync path). mu_ held.
-  Result<uint64_t> AppendSyncLocked(Timestamp timestamp, uint64_t promise_id,
-                                    const std::string& payload);
-  // Sequences + queues one record for the writer, blocking while the
-  // queue is at capacity. mu_ held (via `lock`). Falls back to the
-  // sync path if the writer stops or fails while waiting for space.
-  Result<uint64_t> EnqueueLocked(std::unique_lock<std::mutex>& lock,
-                                 Timestamp timestamp, uint64_t promise_id,
-                                 const std::string& payload);
-  void WriterLoop();
+  // Makes room in a full queue, then sequences and queues one record
+  // stamped `clock->Now()` (or `timestamp` without a clock); in sync
+  // mode also writes it. mu_ held.
+  Result<uint64_t> AppendLocked(std::unique_lock<std::mutex>& lock,
+                                Clock* clock, Timestamp timestamp,
+                                uint64_t promise_id,
+                                const std::string& payload);
+  // Until `sequence` is durable (or the log fails): waits while
+  // another caller flushes, leads a flush otherwise. mu_ held.
+  void FlushThroughLocked(std::unique_lock<std::mutex>& lock,
+                          uint64_t sequence, bool linger);
+  // The flush leader: optionally lingers, then writes up to max_batch
+  // queued records outside mu_, publishes the durable sequence and
+  // wakes the waiters; repeats while a record nobody waits on is still
+  // queued. mu_ held, no flush in progress.
+  void LeadFlushLocked(std::unique_lock<std::mutex>& lock, bool linger);
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;     // writer <- committers: records queued
-  std::condition_variable space_cv_;    // committers <- writer: queue drained
-  std::condition_variable durable_cv_;  // committers <- writer: group flushed
+  // Waiters, the lingering leader and appenders at capacity all wait
+  // here; every flush ends with notify_all.
+  std::condition_variable durable_cv_;
   std::FILE* file_ = nullptr;
   std::string path_;
   GroupCommitConfig config_;
   Clock* clock_ = nullptr;
-  bool writer_running_ = false;
-  bool stopping_ = false;
-  // Batch-boundary kick: skip the linger windows for the current
-  // group. Cleared once the writer drains the queue.
+  // Batch-boundary kick: skip the linger for the current group.
+  // Cleared once a flush drains the queue.
   bool kick_ = false;
-  // True while the writer thread runs WriteBuffer outside mu_;
-  // TruncateBefore waits for it to clear before swapping the file.
+  // A caller leads a flush (lingering or writing); others wait.
+  bool flushing_ = false;
+  // True while the leader runs WriteBuffer outside mu_; TruncateBefore
+  // waits for it to clear before swapping the file.
   bool io_in_flight_ = false;
-  std::thread writer_;
+  // Reused by the leader for each group's bytes (guarded by flushing_).
+  std::string group_buf_;
   std::deque<Pending> queue_;
   uint64_t next_sequence_ = 1;
   uint64_t durable_sequence_ = 0;
+  // Highest record handed to FlushWithoutWaiting; a leader keeps
+  // flushing until it is durable.
+  uint64_t unwaited_sequence_ = 0;
   // Cut-point trackers, updated at the sequencing points and seeded
   // by Open's scan (or the compaction marker).
   uint64_t promise_id_watermark_ = 0;

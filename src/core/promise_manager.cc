@@ -1487,7 +1487,7 @@ Result<CheckpointData> PromiseManager::CaptureCheckpoint() {
         entry.from = key.first;
         entry.message_id = key.second;
         entry.lsn = it->second.lsn;
-        entry.reply = it->second.reply.Encode();
+        entry.reply = it->second.reply;
         data->dedup.push_back(std::move(entry));
       }
     }
@@ -1565,8 +1565,11 @@ Status PromiseManager::RestoreCheckpoint(const CheckpointData& data,
   if (config_.dedup_capacity > 0) {
     std::lock_guard<std::mutex> lk(dedup_mu_);
     for (const CheckpointDedupEntry& entry : data.dedup) {
+      // Decoding validates the entry (and turns a version-1 XML reply
+      // into the binary form the table holds).
       PROMISES_ASSIGN_OR_RETURN(Envelope reply, Envelope::Decode(entry.reply));
-      RememberReplyLocked({entry.from, entry.message_id}, reply, entry.lsn);
+      RememberReplyLocked({entry.from, entry.message_id}, reply.Encode(),
+                          entry.lsn);
     }
   }
   return Status::OK();
@@ -1660,7 +1663,7 @@ Result<Envelope> PromiseManager::Handle(const Envelope& request) {
       dedup_span.set_status("replayed");
       replays_total->Increment();
       stats_.duplicates_replayed.fetch_add(1, std::memory_order_relaxed);
-      return it->second.reply;
+      return Envelope::Decode(it->second.reply);
     }
     if (!dedup_in_progress_.insert(key).second) {
       // A duplicate delivery raced the original, which is still
@@ -1684,17 +1687,17 @@ Result<Envelope> PromiseManager::Handle(const Envelope& request) {
     // Logged operations were already inserted (LSN-tagged) at their
     // sequencing point inside HandleInner; this covers the unlogged
     // path (lsn 0: always inside any checkpoint cut).
-    if (reply.ok()) RememberReplyLocked(key, *reply, 0);
+    if (reply.ok()) RememberReplyLocked(key, reply->Encode(), 0);
   }
   return reply;
 }
 
 bool PromiseManager::RememberReplyLocked(const DedupKey& key,
-                                         const Envelope& reply,
+                                         std::string encoded_reply,
                                          uint64_t lsn) {
   auto [it, inserted] = dedup_completed_.try_emplace(key);
   if (!inserted) return false;
-  it->second = DedupEntry{reply, lsn};
+  it->second = DedupEntry{std::move(encoded_reply), lsn};
   dedup_fifo_.push_back(key);
   while (dedup_fifo_.size() > config_.dedup_capacity) {
     dedup_completed_.erase(dedup_fifo_.front());
@@ -1906,8 +1909,10 @@ Result<Envelope> PromiseManager::HandleInner(const Envelope& request,
     // with its record's LSN while the stripe locks are still held, so a
     // fuzzy checkpoint's cut filter (lsn <= cut) keeps exactly the
     // replies whose operations the snapshot covers.
+    std::string encoded = reply.Encode();
     std::lock_guard<std::mutex> lk(dedup_mu_);
-    dedup_inserted = RememberReplyLocked(*dedup_key, reply, ticket.sequence);
+    dedup_inserted =
+        RememberReplyLocked(*dedup_key, std::move(encoded), ticket.sequence);
   }
   Status commit_status = txn->Commit();
   if (!commit_status.ok()) {

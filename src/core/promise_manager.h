@@ -582,9 +582,10 @@ class PromiseManager {
   /// on replay), from = the client's registered name.
   Envelope DirectEnvelope(ClientId client);
 
-  /// Inserts a reply into the dedup table, evicting FIFO past capacity;
-  /// false if the key is present. Caller holds dedup_mu_.
-  bool RememberReplyLocked(const DedupKey& key, const Envelope& reply,
+  /// Inserts a binary-encoded reply into the dedup table, evicting FIFO
+  /// past capacity; false if the key is present. Caller holds
+  /// dedup_mu_.
+  bool RememberReplyLocked(const DedupKey& key, std::string encoded_reply,
                            uint64_t lsn);
 
   /// Re-executes one log record: an envelope through Handle (`parsed`
@@ -716,7 +717,10 @@ class PromiseManager {
   // mutex, never held across a whole HandleInner call (HandleInner
   // takes it briefly at its sequencing point).
   struct DedupEntry {
-    Envelope reply;
+    /// The reply, binary-encoded: about a tenth of an Envelope's
+    /// footprint (688 bytes inline plus its strings), and the table
+    /// holds dedup_capacity of them. Replays decode it.
+    std::string reply;
     /// LSN of the operation that produced the reply; 0 when it predates
     /// the log (no-log path, restored legacy entries).
     uint64_t lsn = 0;

@@ -436,12 +436,27 @@ void TcpEndpointServer::ServeConnection(std::shared_ptr<Connection> conn,
       continue;
     }
 
+    Work work{conn, *std::move(request), encoding, send_reply, deliveries,
+              traced ? TraceNowUs() : 0};
+    bool run_here;
     {
       std::lock_guard<std::mutex> lk(queue_mu_);
-      queue_.push_back(Work{conn, *std::move(request), encoding, send_reply,
-                            deliveries, traced ? TraceNowUs() : 0});
+      // Run to completion: with nothing queued ahead and a slot free,
+      // this reader serves the request itself (its queue-wait span is
+      // empty). Otherwise it joins the queue for the pool.
+      run_here = queue_.empty() && in_flight_ < options_.workers;
+      if (run_here) {
+        ++in_flight_;
+      } else {
+        queue_.push_back(std::move(work));
+      }
     }
-    queue_cv_.notify_one();
+    if (run_here) {
+      ProcessWork(work);
+      FinishWork();
+    } else {
+      queue_cv_.notify_one();
+    }
   }
   // Announce completion; the next reap joins this thread.
   std::lock_guard<std::mutex> lk(conns_mu_);
@@ -453,26 +468,39 @@ void TcpEndpointServer::WorkerLoop() {
     Work work;
     {
       std::unique_lock<std::mutex> lk(queue_mu_);
-      queue_cv_.wait(lk, [this] { return stopping_ || !queue_.empty(); });
+      // A worker takes queued work only into a free slot, so inline and
+      // pooled requests together never exceed options_.workers.
+      queue_cv_.wait(lk, [this] {
+        return stopping_ || (!queue_.empty() && in_flight_ < options_.workers);
+      });
       if (stopping_) return;  // backlog is discarded on Stop
       work = std::move(queue_.front());
       queue_.pop_front();
       ++in_flight_;
     }
     ProcessWork(work);
-    {
-      std::lock_guard<std::mutex> lk(queue_mu_);
-      --in_flight_;
-    }
-    // A graceful stop may be waiting for the backlog to hit zero.
-    drain_cv_.notify_all();
+    FinishWork();
   }
+}
+
+void TcpEndpointServer::FinishWork() {
+  bool backlog;
+  {
+    std::lock_guard<std::mutex> lk(queue_mu_);
+    --in_flight_;
+    backlog = !queue_.empty();
+  }
+  // The freed slot goes to a worker when work is queued; a graceful
+  // stop may be waiting for the backlog to hit zero.
+  if (backlog) queue_cv_.notify_one();
+  drain_cv_.notify_all();
 }
 
 void TcpEndpointServer::ProcessWork(Work& work) {
   // Queue-wait span, measured across threads: begun at enqueue on
-  // the reader, closed here on the worker. Recorded manually because
-  // no one scope covers both ends.
+  // the reader, closed here on the worker (empty when the reader runs
+  // the request itself). Recorded manually because no one scope covers
+  // both ends.
   const bool traced =
       work.enqueued_us != 0 && work.request.trace &&
       work.request.trace->sampled;
@@ -507,7 +535,7 @@ void TcpEndpointServer::ProcessWork(Work& work) {
   }
 
   Result<Envelope> reply = [&] {
-    // Worker-side handler span: covers the handler itself (for a
+    // Handler span: covers the handler itself (for a
     // bridged PromiseManager the manager's own phases nest under the
     // same parent via the envelope context).
     ScopedSpan handler_span(traced ? *work.request.trace : TraceContext{},

@@ -17,16 +17,21 @@
 // negotiation.
 //
 // Threading/overload model: the accept loop hands each connection to a
-// lightweight reader thread that only parses frames and rules on
-// admission; admitted requests go onto a bounded queue drained by a
-// fixed worker pool that runs the handler. A request the
-// AdmissionController sheds (queue full, per-client quota, propagated
-// deadline already dead) is answered immediately from the reader with
-// an <overload> reply carrying a retry-after hint — it never occupies
-// a worker, so a saturated server keeps saying "no" cheaply instead of
-// collapsing into a backlog of work nobody is waiting for. Workers
-// re-check the envelope deadline at dequeue time: a request admitted
-// live can die waiting, and running it then would be pure waste.
+// reader thread that parses frames and rules on admission. An admitted
+// request runs to completion on its reader — handler and reply, no
+// thread handoff — when nothing is queued and fewer than
+// `options.workers` requests are in flight. Otherwise it goes onto a
+// bounded queue drained by a fixed worker pool, the overflow path. One
+// in-flight count covers inline and pooled requests, so `workers`
+// stays the concurrency cap and the queue fills only when every slot
+// is busy. A request the AdmissionController sheds (queue full,
+// per-client quota, propagated deadline already dead) is answered
+// immediately from the reader with an <overload> reply carrying a
+// retry-after hint — it never occupies a slot, so a saturated server
+// keeps saying "no" cheaply instead of collapsing into a backlog of
+// work nobody is waiting for. Workers re-check the envelope deadline
+// at dequeue time: a request admitted live can die waiting, and
+// running it then would be pure waste.
 //
 // Failure model: the client channel takes a per-call deadline
 // (poll-bounded reads surfacing kDeadlineExceeded; the half-read
@@ -65,7 +70,9 @@ namespace promises {
 /// Server-side overload knobs. The defaults keep small tests happy
 /// (ample queue, no quota) while still bounding the backlog.
 struct TcpServerOptions {
-  /// Fixed worker pool draining the request queue.
+  /// Concurrency cap: at most this many requests run at once, inline on
+  /// their readers or on the fixed pool of this many workers that
+  /// drains the overflow queue.
   size_t workers = 4;
   /// Admission policy (queue bound, per-client quota, hints).
   AdmissionOptions admission;
@@ -100,8 +107,9 @@ struct TcpServerOptions {
   std::function<void()> background_stop;
 };
 
-/// Hosts an EndpointHandler on a loopback TCP port behind a bounded
-/// request queue, a fixed worker pool and an admission controller.
+/// Hosts an EndpointHandler on a loopback TCP port behind an admission
+/// controller; requests run on their connection's reader, with a bounded
+/// queue and a fixed worker pool for the overflow.
 class TcpEndpointServer {
  public:
   TcpEndpointServer() = default;
@@ -149,7 +157,7 @@ class TcpEndpointServer {
   /// Admission/shed counters (zeroed struct before Start).
   OverloadStats overload_stats() const;
 
-  /// Requests admitted and waiting for a worker right now.
+  /// Requests admitted and waiting for a free slot right now.
   size_t queue_depth() const;
 
   /// Connections with a live reader thread. Finished readers are
@@ -169,7 +177,8 @@ class TcpEndpointServer {
     std::mutex write_mu;  ///< Serializes reply frames on this socket.
   };
 
-  /// An admitted request waiting for (or held by) a worker.
+  /// An admitted request, run inline or waiting for (or held by) a
+  /// worker.
   struct Work {
     std::shared_ptr<Connection> conn;
     Envelope request;
@@ -185,9 +194,11 @@ class TcpEndpointServer {
   void AcceptLoop();
   void ServeConnection(std::shared_ptr<Connection> conn, uint64_t id);
   void WorkerLoop();
-  /// Runs one dequeued request through deadline re-check, handler and
-  /// reply (the per-item body of WorkerLoop).
+  /// Runs one admitted request through deadline re-check, handler and
+  /// reply, on its reader or on a worker.
   void ProcessWork(Work& work);
+  /// Frees the in-flight slot of a finished request.
+  void FinishWork();
   /// Shared teardown behind Stop/StopGraceful; `drain_ms` > 0 inserts
   /// the drain phase. Returns false when the drain deadline lapsed.
   bool StopInternal(DurationMs drain_ms);
@@ -225,8 +236,9 @@ class TcpEndpointServer {
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::deque<Work> queue_;
-  /// Requests popped from the queue and still inside ProcessWork
-  /// (guarded by queue_mu_; drain waits for queue empty + this zero).
+  /// Requests inside ProcessWork, inline and pooled alike; never above
+  /// options_.workers (guarded by queue_mu_; drain waits for queue
+  /// empty + this zero).
   size_t in_flight_ = 0;
   std::condition_variable drain_cv_;
 

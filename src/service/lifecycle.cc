@@ -317,9 +317,10 @@ void ServerLifecycle::KillHard() {
   // poisoned log (detaching it) and then send an OK reply for an
   // effect no log carries. Stop() discards the queued backlog and
   // joins in-flight handlers (their WaitDurable completes normally —
-  // the group writer is still alive — but the reply hits a closed
-  // socket, so clients see exactly a blackout: resets and time-outs,
-  // and every acked effect is durable).
+  // the log is still open, so a committer can lead its own flush —
+  // but the reply hits a closed socket, so clients see exactly a
+  // blackout: resets and time-outs, and every acked effect is
+  // durable).
   server_->Stop();
 
   // Now abandon both logs mid-group: queued-but-unflushed records are

@@ -105,6 +105,9 @@ Status FederatedGrantCoordinator::AppendRecord(const std::string& payload,
       options_.log->AppendOperation(clock_, payload, /*promise_id=*/0);
   if (!seq.ok()) return seq.status();
   if (durable) return options_.log->WaitDurable(*seq);
+  // Nobody waits on this record, but it must still reach the file
+  // without a later commit.
+  options_.log->FlushWithoutWaiting(*seq);
   return Status::OK();
 }
 

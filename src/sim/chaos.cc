@@ -6,6 +6,7 @@
 #include <thread>
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 
 #include "common/clock.h"
@@ -872,6 +873,8 @@ RestartChaosReport RunRestartChaosWorkload(const RestartChaosConfig& config) {
 
   std::vector<RestartWorkerTally> tallies(
       static_cast<size_t>(config.workers));
+  // Orders begun by all workers; the kill schedule reads it.
+  std::atomic<uint64_t> orders_started{0};
   auto started = std::chrono::steady_clock::now();
 
   // ---- Order workers: raw envelopes over TCP, retrying through
@@ -894,6 +897,7 @@ RestartChaosReport RunRestartChaosWorkload(const RestartChaosConfig& config) {
 
     for (int i = 0; i < config.orders_per_worker; ++i) {
       ++tally.attempts;
+      orders_started.fetch_add(1, std::memory_order_relaxed);
       const std::string& item = items[static_cast<size_t>(
           rng.UniformInt(0, config.num_items - 1))];
 
@@ -1139,10 +1143,25 @@ RestartChaosReport RunRestartChaosWorkload(const RestartChaosConfig& config) {
   auto orchestrator_fn = [&] {
     Rng orng(config.seed * 31337 + 13);
     uint64_t probe_seq = 0;
+    const uint64_t total_orders =
+        static_cast<uint64_t>(config.workers) *
+        static_cast<uint64_t>(config.orders_per_worker);
     for (int round = 0; round < config.kill_rounds; ++round) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(orng.UniformInt(
+      // Uptime: the random draw, cut short once the workers have begun
+      // this round's even share of the orders. A node fast enough to
+      // outrun the schedule is then still killed under load in every
+      // round, with the last share left for the final generation.
+      const auto uptime = std::chrono::milliseconds(orng.UniformInt(
           static_cast<int>(config.min_uptime_ms),
-          static_cast<int>(config.max_uptime_ms))));
+          static_cast<int>(config.max_uptime_ms)));
+      const uint64_t share = total_orders *
+                             static_cast<uint64_t>(round + 1) /
+                             static_cast<uint64_t>(config.kill_rounds + 1);
+      const auto up_since = std::chrono::steady_clock::now();
+      while (std::chrono::steady_clock::now() - up_since < uptime &&
+             orders_started.load(std::memory_order_relaxed) < share) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
       const bool hard = orng.Chance(config.hard_kill_fraction);
       auto kill_started = std::chrono::steady_clock::now();
       if (hard) {

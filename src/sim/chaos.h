@@ -274,7 +274,10 @@ struct RestartChaosConfig {
   /// Kill schedule: the orchestrator lets the node serve for a random
   /// uptime in [min,max] ms, kills it — hard (abandoned logs, torn
   /// sockets) with probability `hard_kill_fraction`, graceful drain
-  /// otherwise — restarts it on the same port, and repeats.
+  /// otherwise — restarts it on the same port, and repeats. Round r's
+  /// uptime ends early once the workers have begun r+1 of
+  /// kill_rounds+1 even shares of their orders, so the load spans
+  /// every round however fast the node serves.
   int kill_rounds = 20;
   double hard_kill_fraction = 0.5;
   DurationMs min_uptime_ms = 20;

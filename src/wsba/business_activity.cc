@@ -203,6 +203,9 @@ Status BusinessActivityCoordinator::AppendRecord(const std::string& payload,
       options_.log->AppendOperation(clock_, payload, /*promise_id=*/0);
   if (!seq.ok()) return seq.status();
   if (durable) return options_.log->WaitDurable(*seq);
+  // Nobody waits on this record, but it must still reach the file
+  // without a later commit.
+  options_.log->FlushWithoutWaiting(*seq);
   return Status::OK();
 }
 
@@ -918,14 +921,16 @@ Status BusinessActivityParticipant::SignalFault(const std::string& reason) {
   return Signal(target, "fault", reason);
 }
 
-Status BusinessActivityParticipant::ApplyOrderLocked(
-    ActivityId activity, Enlistment* enlistment, const std::string& kind) {
+std::string BusinessActivityParticipant::EffectiveOrder(
+    const Enlistment& enlistment, const std::string& kind) {
   // Cancel of an enlistment that already completed means the
   // coordinator decided abort after our vote: the work exists and must
   // be undone, so the cancel is executed as a compensate.
-  std::string effective = kind;
-  if (kind == "cancel" && enlistment->completed) effective = "compensate";
+  return kind == "cancel" && enlistment.completed ? "compensate" : kind;
+}
 
+Status BusinessActivityParticipant::RunClaimedOrder(
+    ActivityId activity, const std::string& effective) {
   Status st = Status::OK();
   if (effective == "close") {
     if (callbacks_.on_close) st = callbacks_.on_close();
@@ -934,15 +939,18 @@ Status BusinessActivityParticipant::ApplyOrderLocked(
   } else {  // cancel of never-completed work
     if (callbacks_.on_cancel) callbacks_.on_cancel();
   }
-  if (!st.ok()) return st;
   // Durable before the ack: once the coordinator hears "done" it will
   // never re-send, so losing this record to a crash would strand a
   // retransmitted order with no dedup memory and re-run the callback.
-  PROMISES_RETURN_IF_ERROR(
-      AppendRecord("bp|done|" + endpoint_ + "|" +
-                   std::to_string(activity.value()) + "|" + effective));
-  enlistment->executed = effective;
-  return Status::OK();
+  if (st.ok()) {
+    st = AppendRecord("bp|done|" + endpoint_ + "|" +
+                      std::to_string(activity.value()) + "|" + effective);
+  }
+  std::lock_guard<std::mutex> lk(mu_);
+  Enlistment& e = enlistments_[activity.value()];
+  e.running = false;
+  if (st.ok()) e.executed = effective;
+  return st;
 }
 
 Result<Envelope> BusinessActivityParticipant::HandleOrder(
@@ -961,35 +969,42 @@ Result<Envelope> BusinessActivityParticipant::HandleOrder(
   }
   ActivityId activity(static_cast<uint64_t>(aid->second.as_int()));
 
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = enlistments_.find(activity.value());
-  if (it == enlistments_.end()) {
-    if (kind == "close") {
-      // A Close can only follow our own Completed signal, which can
-      // only follow a durable enlistment — an unknown activity here is
-      // a protocol error, not an amnesiac restart.
-      return Ack(transport_, envelope, false,
-                 "close for unknown activity " + activity.ToString());
-    }
-    // Presumed abort from the participant's side: no durable
-    // enlistment means no completed work, so there is nothing to undo
-    // and the cancel/compensate can be acked as done.
-    return Ack(transport_, envelope, true);
-  }
-  Enlistment& e = it->second;
-  std::string effective = kind;
-  if (kind == "cancel" && e.completed) effective = "compensate";
-  if (!e.executed.empty()) {
-    if (e.executed == effective) {
-      // Retransmitted order (lost ack, duplicated delivery, re-drive
-      // after coordinator crash): ack without re-running the callback.
-      WsbaMetrics::Get().order_dedup->Increment();
+  std::string effective;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = enlistments_.find(activity.value());
+    if (it == enlistments_.end()) {
+      if (kind == "close") {
+        // A Close can only follow our own Completed signal, which can
+        // only follow a durable enlistment — an unknown activity here is
+        // a protocol error, not an amnesiac restart.
+        return Ack(transport_, envelope, false,
+                   "close for unknown activity " + activity.ToString());
+      }
+      // Presumed abort from the participant's side: no durable
+      // enlistment means no completed work, so there is nothing to undo
+      // and the cancel/compensate can be acked as done.
       return Ack(transport_, envelope, true);
     }
-    return Ack(transport_, envelope, false,
-               "conflicting order '" + kind + "' after '" + e.executed + "'");
+    Enlistment& e = it->second;
+    effective = EffectiveOrder(e, kind);
+    if (!e.executed.empty()) {
+      if (e.executed == effective) {
+        // Retransmitted order (lost ack, duplicated delivery, re-drive
+        // after coordinator crash): ack without re-running the callback.
+        WsbaMetrics::Get().order_dedup->Increment();
+        return Ack(transport_, envelope, true);
+      }
+      return Ack(transport_, envelope, false,
+                 "conflicting order '" + kind + "' after '" + e.executed +
+                     "'");
+    }
+    // A retransmission racing the running callback must not run it
+    // twice; the coordinator retries and then finds it executed.
+    if (e.running) return OrderRunning(activity);
+    e.running = true;
   }
-  Status st = ApplyOrderLocked(activity, &e, kind);
+  Status st = RunClaimedOrder(activity, effective);
   return Ack(transport_, envelope, st.ok(), st.ok() ? "" : st.ToString());
 }
 
@@ -1035,29 +1050,37 @@ Result<ActivityOutcome> BusinessActivityParticipant::QueryOutcome(
   std::string decision =
       decision_it != outputs.end() ? decision_it->second.as_string() : "none";
 
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = enlistments_.find(activity.value());
-  if (it == enlistments_.end()) {
-    return Status::FailedPrecondition("participant not enlisted");
+  // Unknown activity = the coordinator never durably decided =
+  // presumed abort. Same local action as an explicit cancel.
+  const bool abort = !known || decision == "cancel";
+  if (!abort && decision != "close") {
+    // Undecided: still open; re-query after the coordinator's
+    // retry_after_ms hint.
+    return ActivityOutcome::kOpen;
   }
-  Enlistment& e = it->second;
-  if (!known || decision == "cancel") {
-    // Unknown activity = the coordinator never durably decided =
-    // presumed abort. Same local action as an explicit cancel.
-    if (e.executed.empty()) {
-      PROMISES_RETURN_IF_ERROR(ApplyOrderLocked(activity, &e, "cancel"));
+  std::string effective;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = enlistments_.find(activity.value());
+    if (it == enlistments_.end()) {
+      return Status::FailedPrecondition("participant not enlisted");
     }
-    return ActivityOutcome::kCompensated;
-  }
-  if (decision == "close") {
+    Enlistment& e = it->second;
     if (e.executed.empty()) {
-      PROMISES_RETURN_IF_ERROR(ApplyOrderLocked(activity, &e, "close"));
+      if (e.running) return OrderRunning(activity);
+      e.running = true;
+      effective = EffectiveOrder(e, abort ? "cancel" : "close");
     }
-    return ActivityOutcome::kClosed;
   }
-  // Undecided: still open; re-query after the coordinator's
-  // retry_after_ms hint.
-  return ActivityOutcome::kOpen;
+  if (!effective.empty()) {
+    PROMISES_RETURN_IF_ERROR(RunClaimedOrder(activity, effective));
+  }
+  return abort ? ActivityOutcome::kCompensated : ActivityOutcome::kClosed;
+}
+
+Status BusinessActivityParticipant::OrderRunning(ActivityId activity) {
+  return Status::Unavailable("an outcome order for activity " +
+                             activity.ToString() + " is running");
 }
 
 std::string BusinessActivityParticipant::ExecutedOutcome(

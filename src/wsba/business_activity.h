@@ -250,7 +250,8 @@ class BusinessActivityCoordinator {
   Result<Envelope> HandleSignal(const Envelope& envelope);
 
   /// Appends one decision-log record; `durable` waits for the group
-  /// ack. No-op without a log.
+  /// ack, otherwise the record is flushed without waiting. No-op
+  /// without a log.
   Status AppendRecord(const std::string& payload, bool durable);
 
   /// True when an armed crash point fired; flips crashed_.
@@ -373,16 +374,24 @@ class BusinessActivityParticipant {
     std::string coordinator;
     bool completed = false;  ///< Durable vote: work done, undo possible.
     std::string executed;    ///< "", "close", "compensate", "cancel".
+    /// An outcome callback is running outside mu_; further orders for
+    /// this activity are refused retryably until it is executed.
+    bool running = false;
   };
 
   Result<Envelope> HandleOrder(const Envelope& envelope);
   Status Signal(ActivityId activity, const std::string& kind,
                 const std::string& detail);
-  /// Runs the callback for `kind` (with cancel-of-completed mapped to
-  /// compensate), logs the executed record and stamps the enlistment.
-  /// mu_ held. Returns the callback's status.
-  Status ApplyOrderLocked(ActivityId activity, Enlistment* enlistment,
-                          const std::string& kind);
+  /// `kind` as executed: cancel of completed work is a compensate.
+  static std::string EffectiveOrder(const Enlistment& enlistment,
+                                    const std::string& kind);
+  /// Runs the callback for an order whose enlistment the caller marked
+  /// running, makes the executed record durable and stamps the
+  /// enlistment. mu_ NOT held, so a callback may re-enter the
+  /// participant. Returns the callback's (or the log's) status.
+  Status RunClaimedOrder(ActivityId activity, const std::string& effective);
+  /// The retryable refusal while another order's callback runs.
+  static Status OrderRunning(ActivityId activity);
   Status AppendRecord(const std::string& payload);
 
   std::string endpoint_;

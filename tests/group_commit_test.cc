@@ -1,11 +1,15 @@
-// Tests for OperationLog group commit: batching/linger knobs, durable
-// acks, failure poisoning, the v2 full-record checksum + v1 version
-// sniff, and a TSan-targeted multi-writer stress.
+// Tests for OperationLog group commit: caller-led flushes,
+// batching/linger knobs, durable acks, failure poisoning, the v2/v3
+// record format + v1 version sniff, and TSan-targeted multi-writer
+// stress.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +17,8 @@
 #include "common/clock.h"
 #include "core/oplog.h"
 #include "obs/metrics.h"
+#include "protocol/transport.h"
+#include "wsba/business_activity.h"
 
 namespace promises {
 namespace {
@@ -189,6 +195,129 @@ TEST(GroupCommitTest, DropToSyncFallbackAfterWriterStops) {
   EXPECT_EQ(records->size(), 2u);
 }
 
+// --- Caller-led flushing: unwaited records, Abandon racing a leader ----
+
+TEST(GroupCommitTest, AsyncRecordReachesFileWithoutLaterCommit) {
+  TempLogFile file("async_alone");
+  SimulatedClock clock(0);
+  OperationLog log;
+  ASSERT_TRUE(log.Open(file.path()).ok());
+  GroupCommitConfig config;
+  config.mode = DurabilityMode::kAsync;
+  ASSERT_TRUE(log.StartGroupCommit(config, &clock).ok());
+  auto seq = log.AppendOperation(&clock, "<async/>", 0);
+  ASSERT_TRUE(seq.ok());
+  ASSERT_TRUE(log.WaitDurable(*seq).ok());
+  // No later commit, no Close: the record is in the file already.
+  auto records = OperationLog::ReadAll(file.path());
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 1u);
+  EXPECT_EQ((*records)[0].payload, "<async/>");
+}
+
+TEST(GroupCommitTest, UnwaitedRecordRidesTheFlushInProgress) {
+  TempLogFile file("unwaited");
+  SimulatedClock clock(0);
+  OperationLog log;
+  ASSERT_TRUE(log.Open(file.path()).ok());
+  GroupCommitConfig config;
+  config.mode = DurabilityMode::kGroup;
+  config.max_batch = 1;  // the unwaited record needs a group of its own
+  config.max_delay_ms = 50;
+  ASSERT_TRUE(log.StartGroupCommit(config, &clock).ok());
+
+  auto waited = log.AppendOperation(&clock, "<waited/>", 0);
+  ASSERT_TRUE(waited.ok());
+  // The waiter leads a flush and lingers on the frozen clock.
+  std::thread waiter([&log, &waited] {
+    EXPECT_TRUE(log.WaitDurable(*waited).ok());
+  });
+  while (log.CutPoint()->sequence == 0) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  auto unwaited = log.AppendOperation(&clock, "<unwaited/>", 0);
+  ASSERT_TRUE(unwaited.ok());
+  log.FlushWithoutWaiting(*unwaited);  // a flush is in progress: returns
+  clock.Advance(51);
+  waiter.join();
+  // The leader wrote the unwaited record before its flush ended.
+  auto records = OperationLog::ReadAll(file.path());
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 2u);
+  EXPECT_EQ((*records)[1].payload, "<unwaited/>");
+}
+
+TEST(GroupCommitTest, WsbaNonDurableRecordReachesFileWithoutLaterCommit) {
+  TempLogFile file("wsba_unwaited");
+  SimulatedClock clock(0);
+  OperationLog log;
+  ASSERT_TRUE(log.Open(file.path()).ok());
+  ASSERT_TRUE(log.StartGroupCommit(GroupCommitConfig{}, &clock).ok());
+  Transport transport;
+  CoordinatorOptions opts;
+  opts.log = &log;
+  opts.clock = &clock;
+  BusinessActivityCoordinator coordinator("coordinator", &transport, opts);
+  ActivityId activity = coordinator.CreateActivity();  // durable=false
+  ASSERT_TRUE(activity.valid());
+  auto records = OperationLog::ReadAll(file.path());
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 1u);
+  EXPECT_EQ((*records)[0].payload,
+            "ba|create|" + std::to_string(activity.value()));
+}
+
+TEST(GroupCommitConcurrencyTest, AbandonRacingLeaderFlushMatchesTheFile) {
+  // Abandon lands while committers lead their own flushes: the file
+  // must never be closed under a write (ASan), and every committer
+  // told "durable" must find its record in the file afterwards.
+  const std::string big(64 << 10, 'x');  // long writes widen the race
+  for (int round = 0; round < 40; ++round) {
+    TempLogFile file("abandon_race");
+    SystemClock clock;
+    OperationLog log;
+    ASSERT_TRUE(log.Open(file.path()).ok());
+    ASSERT_TRUE(log.StartGroupCommit(GroupCommitConfig{}, &clock).ok());
+    constexpr int kCommitters = 3;
+    std::vector<std::vector<std::string>> acked(kCommitters);
+    std::vector<std::string> refused(kCommitters);
+    std::vector<std::thread> committers;
+    for (int c = 0; c < kCommitters; ++c) {
+      committers.emplace_back([&, c] {
+        for (int i = 0; i < 50; ++i) {
+          std::string payload = std::to_string(c) + "/" + std::to_string(i) +
+                                "|" + big;
+          auto seq = log.AppendOperation(&clock, payload, 0);
+          if (!seq.ok()) return;
+          if (!log.WaitDurable(*seq).ok()) {
+            refused[static_cast<size_t>(c)] = std::move(payload);
+            return;
+          }
+          acked[static_cast<size_t>(c)].push_back(std::move(payload));
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200 * (round % 8)));
+    log.Abandon();
+    for (std::thread& t : committers) t.join();
+
+    auto records = OperationLog::ReadAll(file.path());
+    ASSERT_TRUE(records.ok());
+    std::set<std::string> in_file;
+    for (const LogRecord& r : *records) in_file.insert(r.payload);
+    for (const auto& per_committer : acked) {
+      for (const std::string& payload : per_committer) {
+        EXPECT_EQ(in_file.count(payload), 1u)
+            << "acked record missing: " << payload.substr(0, 8);
+      }
+    }
+    for (const std::string& payload : refused) {
+      if (payload.empty()) continue;
+      EXPECT_EQ(in_file.count(payload), 0u)
+          << "refused record written: " << payload.substr(0, 8);
+    }
+  }
+}
+
 // --- Record format: v2 checksum coverage + v1 compatibility -------------
 
 TEST(GroupCommitTest, CorruptedTimestampFieldFailsVerification) {
@@ -220,6 +349,51 @@ TEST(GroupCommitTest, CorruptedTimestampFieldFailsVerification) {
   records = OperationLog::ReadAll(file.path());
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(records->size(), 0u);  // header tampering is detected
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::string contents;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return contents;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) contents.append(buf, n);
+  std::fclose(f);
+  return contents;
+}
+
+TEST(GroupCommitTest, GoldenV3RecordBytes) {
+  // Pins the v3 wire format byte for byte: header field order, decimal
+  // formatting (a negative timestamp, the widest integers) and
+  // the FNV-1a checksum over "<len>|<seq>|<ts>|<pid>|<payload>".
+  TempLogFile file("golden");
+  {
+    OperationLog log;
+    ASSERT_TRUE(log.Open(file.path()).ok());
+    ASSERT_TRUE(log.Append(1234, "grant|x").ok());
+    SimulatedClock far(INT64_MAX);
+    auto seq = log.AppendOperation(&far, std::string("a\nb|\0c", 6),
+                                   INT64_MAX);
+    ASSERT_TRUE(seq.ok());
+    ASSERT_TRUE(log.WaitDurable(*seq).ok());
+    ASSERT_TRUE(log.Append(-5, "").ok());
+  }
+  const std::string golden =
+      std::string("v3|7|1521725709|1|1234|0|grant|x\n") +
+      "v3|6|1929952705|2|9223372036854775807|9223372036854775807|" +
+      std::string("a\nb|\0c\n", 7) +
+      "v3|0|2432456580|3|-5|0|\n";
+  EXPECT_EQ(ReadFileBytes(file.path()), golden);
+  EXPECT_EQ(OperationLog::RecordChecksum(7, 1, 1234, 0, "grant|x"),
+            1521725709u);
+
+  auto records = OperationLog::ReadAll(file.path());
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 3u);
+  EXPECT_EQ((*records)[1].timestamp, INT64_MAX);
+  EXPECT_EQ((*records)[1].promise_id, uint64_t{INT64_MAX});
+  EXPECT_EQ((*records)[1].payload, std::string("a\nb|\0c", 6));
+  EXPECT_EQ((*records)[2].timestamp, -5);
 }
 
 TEST(GroupCommitTest, V1RecordsStillReplayBehindVersionSniff) {

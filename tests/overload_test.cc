@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/rng.h"
@@ -471,6 +474,72 @@ TEST(OverloadTest, QueueFullShedsImmediatelyWithRetryAfterHint) {
   EXPECT_EQ(stats.shed_queue_full, 1u);
   EXPECT_GE(stats.queue_peak, 1u);
   EXPECT_EQ(server.requests_served(), 2u);  // sheds are not served
+  server.Stop();
+}
+
+TEST(OverloadTest, InlineAndQueuedRequestsShareOneWorkerSlot) {
+  // workers = 1: the first request runs inline on its reader, the rest
+  // queue behind it, and at no point do two handlers run at once.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool released = false;
+  int running = 0;
+  int max_running = 0;
+  std::atomic<int> entered{0};
+  EndpointHandler handler = [&](const Envelope& in) -> Result<Envelope> {
+    {
+      std::unique_lock<std::mutex> lk(mu);
+      max_running = std::max(max_running, ++running);
+      entered.fetch_add(1);
+      cv.wait(lk, [&] { return released; });
+      --running;
+    }
+    Envelope out;
+    out.message_id = in.message_id;
+    ActionResultBody r;
+    r.ok = true;
+    out.action_result = std::move(r);
+    return out;
+  };
+  TcpEndpointServer server;
+  TcpServerOptions options;
+  options.workers = 1;
+  options.admission.queue_capacity = 8;
+  ASSERT_TRUE(server.Start(0, handler, options).ok());
+
+  constexpr int kClients = 4;
+  std::atomic<int> ok_calls{0};
+  std::vector<std::thread> clients;
+  clients.emplace_back([&] {
+    TcpClientChannel ch;
+    ASSERT_TRUE(ch.Connect(server.port()).ok());
+    if (ch.Call(LoadRequest(1, "c0")).ok()) ++ok_calls;
+  });
+  while (entered.load() < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int c = 1; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      TcpClientChannel ch;
+      ASSERT_TRUE(ch.Connect(server.port()).ok());
+      if (ch.Call(LoadRequest(static_cast<uint64_t>(c) + 1,
+                              std::string("c").append(std::to_string(c))))
+              .ok()) {
+        ++ok_calls;
+      }
+    });
+  }
+  WaitForQueueDepth(server, kClients - 1);
+  EXPECT_EQ(entered.load(), 1);  // the slot is taken: nothing else ran
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    released = true;
+  }
+  cv.notify_all();
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(ok_calls.load(), kClients);
+  EXPECT_EQ(max_running, 1);
+  EXPECT_EQ(server.requests_served(), static_cast<uint64_t>(kClients));
   server.Stop();
 }
 

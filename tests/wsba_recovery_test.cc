@@ -397,6 +397,68 @@ TEST(WsbaRecoveryTest, UnknownActivityQueryPresumesAbort) {
   EXPECT_EQ(work.compensated, 1);
 }
 
+// The compensation callback runs without the participant's lock held:
+// it may signal the coordinator through the same participant (here an
+// exit from a second activity) without deadlocking, and the executed
+// record is still durable before the query reports the outcome.
+TEST(WsbaRecoveryTest, CompensationCallbackReentersParticipant) {
+  TempLogFile part_file("reenter_part");
+  OperationLog part_log;
+  ASSERT_TRUE(part_log.Open(part_file.path()).ok());
+  Transport transport;
+  BusinessActivityParticipant* self = nullptr;
+  int compensated = 0;
+  Status exit_status = Status::Internal("callback never ran");
+  BusinessActivityParticipant::Callbacks callbacks;
+  callbacks.on_compensate = [&] {
+    ++compensated;
+    exit_status = self->SignalExit();  // the current enlistment
+    return Status::OK();
+  };
+  ParticipantOptions part_opts;
+  part_opts.log = &part_log;
+  BusinessActivityParticipant part("part-0", &transport, callbacks,
+                                   part_opts);
+  self = &part;
+
+  ActivityId forgotten;
+  {
+    // Volatile coordinator: the completed activity dies with it.
+    BusinessActivityCoordinator coordinator("coordinator", &transport);
+    (void)coordinator.CreateActivity();  // ids differ from the next one's
+    forgotten = coordinator.CreateActivity();
+    auto id = coordinator.Register(forgotten, "part-0");
+    part.Enlist("coordinator", forgotten, *id);
+    ASSERT_TRUE(part.SignalCompleted().ok());
+  }
+  BusinessActivityCoordinator amnesiac("coordinator", &transport);
+  ActivityId live = amnesiac.CreateActivity();
+  auto live_id = amnesiac.Register(live, "part-0");
+  ASSERT_TRUE(live_id.ok());
+  part.Enlist("coordinator", live, *live_id);
+
+  // Presumed abort: the participant undoes its work locally, and the
+  // callback exits the live activity on the way.
+  auto outcome = part.QueryOutcome(forgotten);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(*outcome, ActivityOutcome::kCompensated);
+  EXPECT_EQ(compensated, 1);
+  EXPECT_TRUE(exit_status.ok()) << exit_status.ToString();
+  EXPECT_EQ(*amnesiac.StateOf(live, *live_id), ParticipantState::kExited);
+  EXPECT_EQ(part.ExecutedOutcome(forgotten), "compensate");
+  // Exactly once: a second query does not undo again.
+  ASSERT_TRUE(part.QueryOutcome(forgotten).ok());
+  EXPECT_EQ(compensated, 1);
+
+  auto records = OperationLog::ReadAll(part_file.path());
+  ASSERT_TRUE(records.ok());
+  const std::string done =
+      "bp|done|part-0|" + std::to_string(forgotten.value()) + "|compensate";
+  int done_records = 0;
+  for (const LogRecord& r : *records) done_records += r.payload == done;
+  EXPECT_EQ(done_records, 1);
+}
+
 // An undecided activity answers the query with kOpen plus a pacing
 // hint rather than guessing.
 TEST(WsbaRecoveryTest, UndecidedQueryStaysOpen) {

@@ -130,6 +130,32 @@ TEST_F(WsbaTest, ExitedParticipantUntouchedAtClose) {
   EXPECT_EQ(work.compensated, 0);
 }
 
+TEST_F(WsbaTest, CloseCallbackReentersParticipant) {
+  // The close order runs its callback without the participant's lock
+  // held, so the callback may call back into the participant.
+  BusinessActivityParticipant* self = nullptr;
+  ActivityId activity = coordinator_.CreateActivity();
+  std::string seen_during_callback = "unset";
+  int closed = 0;
+  BusinessActivityParticipant::Callbacks callbacks;
+  callbacks.on_close = [&] {
+    ++closed;
+    seen_during_callback = self->ExecutedOutcome(activity);
+    return Status::OK();
+  };
+  BusinessActivityParticipant p("p", &transport_, callbacks);
+  self = &p;
+  auto id = coordinator_.Register(activity, "p");
+  p.Enlist("coordinator", activity, *id);
+  ASSERT_TRUE(p.SignalCompleted().ok());
+  auto outcome = coordinator_.CloseActivity(activity);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(*outcome, ActivityOutcome::kClosed);
+  EXPECT_EQ(closed, 1);
+  EXPECT_EQ(seen_during_callback, "");  // stamped only after the record
+  EXPECT_EQ(p.ExecutedOutcome(activity), "close");
+}
+
 TEST_F(WsbaTest, ProtocolMisuseRejected) {
   Work work;
   BusinessActivityParticipant p("p", &transport_, work.Callbacks());
